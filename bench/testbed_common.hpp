@@ -36,11 +36,11 @@ inline testbed::experiment_config bench_config(const scenario_context& ctx,
 
 inline std::string cache_key(const testbed::experiment_config& cfg) {
     std::ostringstream key;
-    // v5: runs shard over the campaign layer with per-run split RNG
-    // streams, which changes the sampled pair-of-pairs; the bump keeps
-    // pre-campaign ensembles from being loaded. (threads is deliberately
-    // NOT part of the key: results are thread-count invariant.)
-    key << "v5_" << cfg.runs << "_" << cfg.duration_s << "_" << cfg.category_lo
+    // v6: floor-off runs moved to the neighbour-list medium, which
+    // shifts ensemble values; the bump keeps ensembles cached by older
+    // binaries from being loaded. (threads is deliberately NOT part of
+    // the key: results are thread-count invariant.)
+    key << "v6_" << cfg.runs << "_" << cfg.duration_s << "_" << cfg.category_lo
         << "_" << cfg.category_hi << "_" << cfg.seed << "_"
         << cfg.rssi_strata_lo_db << "_" << cfg.rssi_strata_hi_db;
     return key.str();

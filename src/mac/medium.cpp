@@ -13,17 +13,16 @@ namespace csense::mac {
 
 namespace {
 constexpr double very_weak_gain_db = -500.0;
-/// Positive floor for interference computed by subtraction in the
-/// culled path, so mw_to_dbm never sees a non-positive argument even if
-/// compensated rounding dips below zero.
+/// Positive floor for interference computed by subtraction, so mw_to_dbm
+/// never sees a non-positive argument even if compensated rounding dips
+/// below zero.
 constexpr double min_positive_mw = 1e-300;
 }  // namespace
 
 medium::medium(sim::simulator& sim, radio_config radio,
                const capacity::error_model& errors, std::uint64_t seed)
-    : sim_(sim), radio_(radio), errors_(errors), rng_(seed),
-      culled_(radio.audibility_enabled()) {
-    if (culled_ &&
+    : sim_(sim), radio_(radio), errors_(errors), rng_(seed) {
+    if (radio_.audibility_enabled() &&
         (radio_.audibility_floor_dbm >= radio_.preamble_threshold_dbm ||
          radio_.audibility_floor_dbm >= radio_.cs_threshold_dbm)) {
         throw std::invalid_argument(
@@ -49,37 +48,11 @@ void medium::check_node(node_id n, const char* what) const {
 void medium::reserve_nodes(std::size_t nodes) {
     listeners_.reserve(nodes);
     lock_by_node_.reserve(nodes);
-    last_tx_start_.reserve(nodes);
     tx_flag_by_node_.reserve(nodes);
     active_tx_by_node_.reserve(nodes);
-    if (culled_) {
-        sparse_gains_.reserve(nodes * 8);
-    } else if (nodes > gain_stride_) {
-        // Pre-size the dense matrix stride so add_node never re-lays it out.
-        std::vector<double> grown(nodes * nodes, very_weak_gain_db);
-        const std::size_t n = listeners_.size();
-        for (std::size_t a = 0; a < n; ++a) {
-            for (std::size_t b = 0; b < n; ++b) {
-                grown[a * nodes + b] = gains_db_[a * gain_stride_ + b];
-            }
-        }
-        gains_db_ = std::move(grown);
-        gain_stride_ = nodes;
-    }
-}
-
-void medium::grow_dense_gains() {
-    const std::size_t n = listeners_.size();
-    if (n <= gain_stride_) return;
-    const std::size_t stride = std::max<std::size_t>({2 * gain_stride_, n, 8});
-    std::vector<double> grown(stride * stride, very_weak_gain_db);
-    for (std::size_t a = 0; a + 1 < n; ++a) {
-        for (std::size_t b = 0; b + 1 < n; ++b) {
-            grown[a * stride + b] = gains_db_[a * gain_stride_ + b];
-        }
-    }
-    gains_db_ = std::move(grown);
-    gain_stride_ = stride;
+    ext_mw_.reserve(nodes);
+    audible_count_.reserve(nodes);
+    sparse_gains_.reserve(nodes * 8);
 }
 
 node_id medium::add_node(medium_listener& listener) {
@@ -90,10 +63,10 @@ node_id medium::add_node(medium_listener& listener) {
     const auto id = static_cast<node_id>(listeners_.size());
     listeners_.push_back(&listener);
     lock_by_node_.emplace_back();
-    last_tx_start_.push_back(-1e18);
     tx_flag_by_node_.push_back(0);
     active_tx_by_node_.push_back(-1);
-    if (!culled_) grow_dense_gains();
+    ext_mw_.emplace_back();
+    audible_count_.push_back(0);
     return id;
 }
 
@@ -108,17 +81,12 @@ void medium::set_link_gain_db(node_id a, node_id b, double gain_db) {
     if (a >= n || b >= n || a == b) {
         throw std::invalid_argument("medium::set_link_gain_db: bad link");
     }
-    if (culled_) {
-        if (frozen_) {
-            throw std::logic_error(
-                "medium::set_link_gain_db: neighbor lists are frozen once "
-                "transmissions begin");
-        }
-        sparse_gains_[link_key(a, b)] = gain_db;
-        return;
+    if (frozen_) {
+        throw std::logic_error(
+            "medium::set_link_gain_db: neighbor lists are frozen once "
+            "transmissions begin");
     }
-    gains_db_[a * gain_stride_ + b] = gain_db;
-    gains_db_[b * gain_stride_ + a] = gain_db;
+    sparse_gains_[link_key(a, b)] = gain_db;
 }
 
 double medium::link_gain_db(node_id a, node_id b) const {
@@ -126,11 +94,8 @@ double medium::link_gain_db(node_id a, node_id b) const {
     if (a >= n || b >= n || a == b) {
         throw std::invalid_argument("medium::link_gain_db: bad link");
     }
-    if (culled_) {
-        const auto it = sparse_gains_.find(link_key(a, b));
-        return it != sparse_gains_.end() ? it->second : very_weak_gain_db;
-    }
-    return gains_db_[a * gain_stride_ + b];
+    const auto it = sparse_gains_.find(link_key(a, b));
+    return it != sparse_gains_.end() ? it->second : very_weak_gain_db;
 }
 
 double medium::rx_power_dbm(node_id tx, node_id rx) const {
@@ -144,7 +109,6 @@ bool medium::transmitting(node_id n) const {
 
 std::size_t medium::neighbor_count(node_id n) const {
     check_node(n, "medium::neighbor_count");
-    if (!culled_) return listeners_.size() - 1;
     if (!frozen_) {
         throw std::logic_error(
             "medium::neighbor_count: neighbor lists are built when the "
@@ -155,13 +119,14 @@ std::size_t medium::neighbor_count(node_id n) const {
 
 void medium::freeze_topology() {
     frozen_ = true;
-    if (!culled_) return;
     const std::size_t n = listeners_.size();
     nbr_offset_.assign(n + 1, 0);
     // Fading can lift a link above its mean: keep every link whose
     // *mean* rx power reaches the floor after a 3-sigma fade allowance
     // (the dropped tail is < 0.15% of frames), so the culled set still
     // only loses power that is negligible for CCA when fading is on.
+    // With the floor at its disabled sentinel every finite rx power
+    // passes, so every link with a gain set is audible.
     const double effective_floor_dbm =
         radio_.audibility_floor_dbm - 3.0 * radio_.fading_sigma_db;
     const auto audible = [&](double gain_db) {
@@ -213,8 +178,6 @@ void medium::freeze_topology() {
             nbr_rx_mw_[s] = row[s - begin].second;
         }
     }
-    ext_mw_.assign(n, stats::kahan_sum{});
-    audible_count_.assign(n, 0);
 }
 
 const double* medium::row_rx_mw(const transmission& t) const {
@@ -222,32 +185,8 @@ const double* medium::row_rx_mw(const transmission& t) const {
                            : t.rx_mw.data();
 }
 
-double medium::faded_rx_power_dbm(const transmission& t, node_id rx) const {
-    double power = rx_power_dbm(t.src, rx);
-    if (!t.fade_db.empty()) power += t.fade_db[rx];
-    return power;
-}
-
-double medium::culled_external_mw(node_id n) const {
-    return noise_mw_ + std::max(ext_mw_[n].value(), 0.0);
-}
-
 double medium::external_power_mw(node_id n) const {
-    if (culled_) {
-        if (ext_mw_.empty()) return noise_mw_;  // before the freeze: silence
-        return culled_external_mw(n);
-    }
-    double mw = propagation::dbm_to_mw(radio_.noise_floor_dbm);
-    for (std::size_t i : active_tx_) {
-        const auto& t = transmissions_[i];
-        if (t.src == n) continue;
-        // csense-lint: allow(loop-float-accumulation) -- the dense
-        // reference path must stay byte-identical to the pre-culling
-        // implementation (the culled path's equivalence tests and the
-        // default-config compatibility guarantee both pin it).
-        mw += propagation::dbm_to_mw(faded_rx_power_dbm(t, n));
-    }
-    return mw;
+    return noise_mw_ + std::max(ext_mw_[n].value(), 0.0);
 }
 
 double medium::external_power_dbm(node_id n) const {
@@ -255,86 +194,22 @@ double medium::external_power_dbm(node_id n) const {
     return propagation::mw_to_dbm(external_power_mw(n));
 }
 
-double medium::interference_mw(node_id rx, std::size_t locked_tx) const {
-    // Dense path only; the culled path derives interference from the
-    // incremental sum minus the locked signal at its call sites.
-    double mw = propagation::dbm_to_mw(radio_.noise_floor_dbm);
-    for (std::size_t i : active_tx_) {
-        const auto& t = transmissions_[i];
-        if (i == locked_tx || t.src == rx) continue;
-        // csense-lint: allow(loop-float-accumulation) -- dense reference
-        // path, kept bit-identical to the pre-culling implementation;
-        // active_tx_ iterates in deterministic insertion order.
-        mw += propagation::dbm_to_mw(faded_rx_power_dbm(t, rx));
-    }
-    return mw;
-}
-
-void medium::update_reception_sinrs() {
-    for (auto& lock : lock_by_node_) {
-        if (!lock || !lock->active) continue;
-        const double interference = interference_mw(lock->rx, lock->tx_index);
-        const double sinr_db =
-            propagation::mw_to_dbm(lock->signal_mw) -
-            propagation::mw_to_dbm(interference);
-        lock->min_sinr_db = std::min(lock->min_sinr_db, sinr_db);
-    }
-}
-
-void medium::update_all_channel_states() {
+void medium::notify_neighbors_after_cca(node_id src) {
     // Clear-channel assessment takes time: nodes learn about a power
     // change cca_delay_us after it happens, and see the power as it is
-    // *then*. The stale window is what permits slot collisions.
-    sim_.schedule_in(radio_.cca_delay_us, [this] {
-        for (node_id n = 0; n < listeners_.size(); ++n) {
-            listeners_[n]->on_channel_update(
-                propagation::mw_to_dbm(external_power_mw(n)));
-        }
-    });
-}
-
-void medium::notify_neighbors_after_cca(node_id src) {
-    // Culled counterpart of update_all_channel_states: only the audible
-    // neighbors of the changed transmitter saw any power move, so only
-    // they are notified. Same CCA staleness: the power is read when the
-    // callback fires, not when the change happened.
+    // *then*. The stale window is what permits slot collisions. Only
+    // the audible neighbors of the changed transmitter saw any power
+    // move, so only they are notified; the transmitter's own external
+    // power did not change, so it is not notified either.
     sim_.schedule_in(radio_.cca_delay_us, [this, src] {
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
         for (std::size_t s = begin; s < end; ++s) {
             const node_id n = nbr_id_[s];
             listeners_[n]->on_channel_update(
-                propagation::mw_to_dbm(culled_external_mw(n)));
+                propagation::mw_to_dbm(external_power_mw(n)));
         }
     });
-}
-
-void medium::try_lock_receivers(std::size_t tx_index) {
-    const auto& t = transmissions_[tx_index];
-    for (node_id n = 0; n < listeners_.size(); ++n) {
-        if (n == t.src) continue;
-        if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
-        const double power_dbm = faded_rx_power_dbm(t, n);
-        if (power_dbm < radio_.preamble_threshold_dbm) continue;
-        const double interference = interference_mw(n, tx_index);
-        const double sinr_db =
-            power_dbm - propagation::mw_to_dbm(interference);
-        if (sinr_db < radio_.preamble_capture_snr_db) continue;
-        // The preamble is decodable at this node: announce it (carrier
-        // sense hook) after the CCA lag, and lock if the receiver is free.
-        medium_listener* listener = listeners_[n];
-        const frame announced = t.f;
-        const sim::time_us until = t.end;
-        sim_.schedule_in(radio_.cca_delay_us,
-                         [listener, announced, power_dbm, until] {
-                             listener->on_preamble(announced, power_dbm, until);
-                         });
-        if (!lock_by_node_[n]) {
-            lock_by_node_[n] = reception{tx_index, n,
-                                         propagation::dbm_to_mw(power_dbm),
-                                         sinr_db, true};
-        }
-    }
 }
 
 void medium::refresh_power_sums() {
@@ -366,35 +241,22 @@ void medium::start_transmission(node_id src, const frame& f,
     if (!frozen_) freeze_topology();
     ++counters_.transmissions;
     const sim::time_us now = sim_.now();
+    const std::size_t begin = nbr_offset_[src];
+    const std::size_t end = nbr_offset_[src + 1];
     // Pathology accounting: did this start overlap an audible frame?
     bool audible = false;
     bool mutual_recent_start = false;
-    if (culled_) {
-        const std::size_t begin = nbr_offset_[src];
-        const std::size_t end = nbr_offset_[src + 1];
-        for (std::size_t s = begin; s < end; ++s) {
-            const std::int64_t ti = active_tx_by_node_[nbr_id_[s]];
-            if (ti < 0) continue;
-            // Unfaded sensed power, symmetric in (src, neighbor): one
-            // precomputed row value answers both directions of the
-            // legacy mutual-audibility check.
-            if (nbr_rx_mw_[s] >= cs_threshold_mw_) {
-                audible = true;
-                if (now - transmissions_[static_cast<std::size_t>(ti)].start <=
-                    capacity::ofdm_timing::slot_us) {
-                    mutual_recent_start = true;
-                }
-            }
-        }
-    } else {
-        for (std::size_t i : active_tx_) {
-            const auto& t = transmissions_[i];
-            if (rx_power_dbm(t.src, src) >= radio_.cs_threshold_dbm) {
-                audible = true;
-                if (now - t.start <= capacity::ofdm_timing::slot_us &&
-                    rx_power_dbm(src, t.src) >= radio_.cs_threshold_dbm) {
-                    mutual_recent_start = true;
-                }
+    for (std::size_t s = begin; s < end; ++s) {
+        const std::int64_t ti = active_tx_by_node_[nbr_id_[s]];
+        if (ti < 0) continue;
+        // Unfaded sensed power, symmetric in (src, neighbor): one
+        // precomputed row value answers both directions of the
+        // mutual-audibility check.
+        if (nbr_rx_mw_[s] >= cs_threshold_mw_) {
+            audible = true;
+            if (now - transmissions_[static_cast<std::size_t>(ti)].start <=
+                capacity::ofdm_timing::slot_us) {
+                mutual_recent_start = true;
             }
         }
     }
@@ -406,7 +268,6 @@ void medium::start_transmission(node_id src, const frame& f,
             ++counters_.chain_collisions;
         }
     }
-    last_tx_start_[src] = now;
 
     // A transmitter abandons any reception in progress.
     if (lock_by_node_[src] && lock_by_node_[src]->active) {
@@ -421,23 +282,13 @@ void medium::start_transmission(node_id src, const frame& f,
     t.end = now + f.airtime_us();
     t.active = true;
     if (radio_.fading_sigma_db > 0.0) {
-        if (culled_) {
-            // Fade draws only for the audible neighbors, in row (node-id)
-            // order, folded straight into the precomputed rx power.
-            const std::size_t begin = nbr_offset_[src];
-            const std::size_t end = nbr_offset_[src + 1];
-            t.rx_mw.resize(end - begin);
-            for (std::size_t s = begin; s < end; ++s) {
-                const double fade_db = radio_.fading_sigma_db * rng_.normal();
-                t.rx_mw[s - begin] =
-                    nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
-            }
-        } else {
-            t.fade_db.resize(listeners_.size(), 0.0);
-            for (node_id n = 0; n < listeners_.size(); ++n) {
-                if (n == src) continue;
-                t.fade_db[n] = radio_.fading_sigma_db * rng_.normal();
-            }
+        // Fade draws only for the audible neighbors, in row (node-id)
+        // order, folded straight into the precomputed rx power.
+        t.rx_mw.resize(end - begin);
+        for (std::size_t s = begin; s < end; ++s) {
+            const double fade_db = radio_.fading_sigma_db * rng_.normal();
+            t.rx_mw[s - begin] =
+                nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
         }
     }
     transmissions_.push_back(std::move(t));
@@ -447,62 +298,52 @@ void medium::start_transmission(node_id src, const frame& f,
     active_tx_by_node_[src] = static_cast<std::int64_t>(index);
     ++active_count_;
 
-    if (culled_) {
-        const transmission& added = transmissions_[index];
-        const double* row = row_rx_mw(added);
-        const std::size_t begin = nbr_offset_[src];
-        const std::size_t end = nbr_offset_[src + 1];
-        // Incremental power accounting: this frame's rx power joins each
-        // neighbor's running external sum.
-        for (std::size_t s = begin; s < end; ++s) {
-            const node_id n = nbr_id_[s];
-            ext_mw_[n].add(row[s - begin]);
-            ++audible_count_[n];
-        }
-        // New interference hits ongoing receptions at the neighbors.
-        for (std::size_t s = begin; s < end; ++s) {
-            auto& lock = lock_by_node_[nbr_id_[s]];
-            if (!lock || !lock->active) continue;
-            const double interference = std::max(
-                culled_external_mw(lock->rx) - lock->signal_mw,
-                min_positive_mw);
-            const double sinr_db = propagation::mw_to_dbm(lock->signal_mw) -
-                                   propagation::mw_to_dbm(interference);
-            lock->min_sinr_db = std::min(lock->min_sinr_db, sinr_db);
-        }
-        // Then candidate neighbors may lock onto this frame.
-        for (std::size_t s = begin; s < end; ++s) {
-            const node_id n = nbr_id_[s];
-            if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
-            const double power_mw = row[s - begin];
-            if (power_mw < preamble_threshold_mw_) continue;
-            const double interference = std::max(
-                culled_external_mw(n) - power_mw, min_positive_mw);
-            const double power_dbm = propagation::mw_to_dbm(power_mw);
-            const double sinr_db =
-                power_dbm - propagation::mw_to_dbm(interference);
-            if (sinr_db < radio_.preamble_capture_snr_db) continue;
-            medium_listener* listener = listeners_[n];
-            const frame announced = added.f;
-            const sim::time_us until = added.end;
-            sim_.schedule_in(radio_.cca_delay_us,
-                             [listener, announced, power_dbm, until] {
-                                 listener->on_preamble(announced, power_dbm,
-                                                       until);
-                             });
-            if (!lock_by_node_[n]) {
-                lock_by_node_[n] = reception{index, n, power_mw, sinr_db, true};
-            }
-        }
-        notify_neighbors_after_cca(src);
-    } else {
-        update_reception_sinrs();   // new interference hits ongoing receptions
-        try_lock_receivers(index);  // then candidates may lock onto this frame
-        update_all_channel_states();
+    const transmission& added = transmissions_[index];
+    const double* row = row_rx_mw(added);
+    // Incremental power accounting: this frame's rx power joins each
+    // neighbor's running external sum.
+    for (std::size_t s = begin; s < end; ++s) {
+        const node_id n = nbr_id_[s];
+        ext_mw_[n].add(row[s - begin]);
+        ++audible_count_[n];
     }
+    // New interference hits ongoing receptions at the neighbors.
+    for (std::size_t s = begin; s < end; ++s) {
+        auto& lock = lock_by_node_[nbr_id_[s]];
+        if (!lock || !lock->active) continue;
+        const double interference = std::max(
+            external_power_mw(lock->rx) - lock->signal_mw, min_positive_mw);
+        const double sinr_db = propagation::mw_to_dbm(lock->signal_mw) -
+                               propagation::mw_to_dbm(interference);
+        lock->min_sinr_db = std::min(lock->min_sinr_db, sinr_db);
+    }
+    // Then candidate neighbors may lock onto this frame.
+    for (std::size_t s = begin; s < end; ++s) {
+        const node_id n = nbr_id_[s];
+        if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
+        const double power_mw = row[s - begin];
+        if (power_mw < preamble_threshold_mw_) continue;
+        const double interference =
+            std::max(external_power_mw(n) - power_mw, min_positive_mw);
+        const double power_dbm = propagation::mw_to_dbm(power_mw);
+        const double sinr_db = power_dbm - propagation::mw_to_dbm(interference);
+        if (sinr_db < radio_.preamble_capture_snr_db) continue;
+        // The preamble is decodable at this node: announce it (carrier
+        // sense hook) after the CCA lag, and lock if the receiver is free.
+        medium_listener* listener = listeners_[n];
+        const frame announced = added.f;
+        const sim::time_us until = added.end;
+        sim_.schedule_in(radio_.cca_delay_us,
+                         [listener, announced, power_dbm, until] {
+                             listener->on_preamble(announced, power_dbm, until);
+                         });
+        if (!lock_by_node_[n]) {
+            lock_by_node_[n] = reception{index, n, power_mw, sinr_db, true};
+        }
+    }
+    notify_neighbors_after_cca(src);
 
-    sim_.schedule_at(transmissions_[index].end,
-                     [this, index] { end_transmission(index); });
+    sim_.schedule_at(added.end, [this, index] { end_transmission(index); });
 }
 
 void medium::maybe_compact_log() {
@@ -528,67 +369,33 @@ void medium::end_transmission(std::size_t tx_index) {
     tx_flag_by_node_[src] = 0;
     active_tx_by_node_[src] = -1;
     --active_count_;
+    // Swap-erase: active order only feeds the exact refresh, whose
+    // association is deterministic either way.
+    const auto it = std::find(active_tx_.begin(), active_tx_.end(), tx_index);
+    *it = active_tx_.back();
+    active_tx_.pop_back();
 
-    // end_transmission only runs from a scheduled event, never nested,
-    // so the member scratch is free here.
+    const transmission& t = transmissions_[tx_index];
+    const double* row = row_rx_mw(t);
+    const std::size_t begin = nbr_offset_[src];
+    const std::size_t end = nbr_offset_[src + 1];
+    for (std::size_t s = begin; s < end; ++s) {
+        const node_id n = nbr_id_[s];
+        ext_mw_[n].sub(row[s - begin]);
+        if (--audible_count_[n] == 0) {
+            // The audible set emptied: the true sum is exactly zero, so
+            // drop any accumulated rounding with it.
+            ext_mw_[n].reset();
+        }
+    }
+    // Settle receptions locked to this frame: only audible neighbors can
+    // hold one (locking requires power above the preamble sensitivity,
+    // which sits above the audibility floor). end_transmission only runs
+    // from a scheduled event, never nested, so the member scratch is free.
     std::vector<delivery>& deliveries = delivery_scratch_;
     deliveries.clear();
-
-    if (culled_) {
-        // Swap-erase: active order only feeds the exact refresh, whose
-        // association is deterministic either way.
-        const auto it =
-            std::find(active_tx_.begin(), active_tx_.end(), tx_index);
-        *it = active_tx_.back();
-        active_tx_.pop_back();
-        const transmission& t = transmissions_[tx_index];
-        const double* row = row_rx_mw(t);
-        const std::size_t begin = nbr_offset_[src];
-        const std::size_t end = nbr_offset_[src + 1];
-        for (std::size_t s = begin; s < end; ++s) {
-            const node_id n = nbr_id_[s];
-            ext_mw_[n].sub(row[s - begin]);
-            if (--audible_count_[n] == 0) {
-                // The audible set emptied: the true sum is exactly zero,
-                // so drop any accumulated rounding with it.
-                ext_mw_[n].reset();
-            }
-        }
-        // Settle receptions locked to this frame: only audible neighbors
-        // can hold one (locking requires power above the preamble
-        // sensitivity, which sits above the audibility floor).
-        for (std::size_t s = begin; s < end; ++s) {
-            auto& lock = lock_by_node_[nbr_id_[s]];
-            if (!lock || !lock->active || lock->tx_index != tx_index) continue;
-            lock->active = false;
-            const double per = errors_.packet_error_rate(
-                *ended.rate, lock->min_sinr_db, ended.bytes);
-            const bool decoded = rng_.uniform() >= per;
-            deliveries.push_back({lock->rx,
-                                  propagation::mw_to_dbm(lock->signal_mw),
-                                  lock->min_sinr_db, decoded});
-            lock.reset();
-        }
-        // Interference relief never lowers a min-SINR, so the legacy
-        // post-removal SINR sweep is a no-op here and is skipped.
-        if (radio_.power_refresh_interval > 0 &&
-            ++ends_since_refresh_ >= radio_.power_refresh_interval) {
-            refresh_power_sums();
-            ends_since_refresh_ = 0;
-        }
-        for (const auto& d : deliveries) {
-            listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr,
-                                                d.decoded);
-        }
-        notify_neighbors_after_cca(src);
-        listeners_[src]->on_tx_complete(ended);
-        maybe_compact_log();
-        return;
-    }
-
-    std::erase(active_tx_, tx_index);
-    // Settle receptions locked to this frame.
-    for (auto& lock : lock_by_node_) {
+    for (std::size_t s = begin; s < end; ++s) {
+        auto& lock = lock_by_node_[nbr_id_[s]];
         if (!lock || !lock->active || lock->tx_index != tx_index) continue;
         lock->active = false;
         const double per = errors_.packet_error_rate(
@@ -598,13 +405,18 @@ void medium::end_transmission(std::size_t tx_index) {
                               lock->min_sinr_db, decoded});
         lock.reset();
     }
-    // Interference relief for everyone else, then deliver.
-    update_reception_sinrs();
+    // Interference relief never lowers a min-SINR, so there is no SINR
+    // sweep after the removal.
+    if (radio_.power_refresh_interval > 0 &&
+        ++ends_since_refresh_ >= radio_.power_refresh_interval) {
+        refresh_power_sums();
+        ends_since_refresh_ = 0;
+    }
     for (const auto& d : deliveries) {
         listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr,
                                             d.decoded);
     }
-    update_all_channel_states();
+    notify_neighbors_after_cca(src);
     listeners_[src]->on_tx_complete(ended);
     maybe_compact_log();
 }

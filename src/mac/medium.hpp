@@ -13,23 +13,20 @@
 //  - nodes that are transmitting hear nothing - the root of the
 //    "chain collision" pathology for preamble-based carrier sense.
 //
-// Scaling model (PR 5): the medium runs in one of two modes, selected
-// by radio_config::audibility_floor_dbm.
-//  - Dense (floor disabled, the default): every power change re-sums
-//    all active transmitters for every listener - O(N) listeners x O(A)
-//    transmitters per event. Byte-identical to the pre-culling
-//    implementation; all historical scenarios run here.
-//  - Neighbor-culled (floor set): links whose received power falls
-//    below the floor are treated as exactly zero. The topology freezes
-//    into per-node audibility neighbor lists (CSR) at the first
-//    transmission, per-transmission neighbor rx powers are precomputed
-//    in mW, and each node carries an incremental Kahan-compensated
-//    running external-power sum updated on tx start/end - so channel
-//    updates, preamble fan-out, and SINR tracking touch only audible
-//    neighbors: O(k) per event, independent of N. An exact reset
-//    whenever a node's audible set empties plus a periodic exact
-//    refresh (radio_config::power_refresh_interval) keep the
-//    incremental sums drift-free and deterministic.
+// Scaling model: the topology freezes into per-node audibility
+// neighbor lists (CSR) at the first transmission, per-link rx powers
+// are precomputed in mW, and each node carries an incremental
+// Kahan-compensated running external-power sum updated on tx start/end
+// - so channel updates, preamble fan-out, and SINR tracking touch only
+// audible neighbors: O(k) per event. radio_config::audibility_floor_dbm
+// decides which links are audible. Left at its sentinel, every link
+// with a gain set is audible and each row holds all N - 1 other nodes;
+// set, links whose received power falls below the floor are treated as
+// exactly zero and dropped from the rows, making k independent of N.
+// External power has one definition either way: the noise floor plus
+// the running sum. An exact reset whenever a node's audible set empties
+// plus a periodic exact refresh (radio_config::power_refresh_interval)
+// keep the incremental sums drift-free and deterministic.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +95,7 @@ public:
 
     /// Symmetric link gain in dB (negative; rx = tx_power + gain).
     /// Throws std::invalid_argument on an unknown node id or a == b, and
-    /// std::logic_error when setting a gain after the topology froze in
-    /// neighbor-culled mode.
+    /// std::logic_error when setting a gain after the topology froze.
     void set_link_gain_db(node_id a, node_id b, double gain_db);
     double link_gain_db(node_id a, node_id b) const;
 
@@ -123,11 +119,7 @@ public:
     const medium_counters& counters() const noexcept { return counters_; }
     const radio_config& radio() const noexcept { return radio_; }
 
-    /// True when the audibility floor is enabled (neighbor-culled mode).
-    bool neighbor_culling() const noexcept { return culled_; }
-
-    /// Audible neighbors of `n`: row size of the CSR neighbor list in
-    /// culled mode, node_count() - 1 in dense mode. In culled mode the
+    /// Audible neighbors of `n`: row size of its CSR neighbor list. The
     /// topology must be frozen first (any transmission freezes it).
     std::size_t neighbor_count(node_id n) const;
 
@@ -145,12 +137,9 @@ private:
         sim::time_us start;
         sim::time_us end;
         bool active = true;
-        /// Dense mode: per-receiver fading (dB) frozen for this frame;
-        /// empty when fading is disabled.
-        std::vector<double> fade_db;
-        /// Culled mode with fading: faded rx power in mW per CSR
-        /// neighbor slot of src. Empty without fading (the frame then
-        /// reads the precomputed unfaded row directly).
+        /// With fading: faded rx power in mW per CSR neighbor slot of
+        /// src. Empty without fading (the frame then reads the
+        /// precomputed unfaded row directly).
         std::vector<double> rx_mw;
     };
 
@@ -163,24 +152,13 @@ private:
     };
 
     void check_node(node_id n, const char* what) const;
-    /// Culled mode: noise floor plus the clamped incremental sum - the
-    /// one definition of external power behind every culled read
-    /// (public accessor, CCA notifications, interference subtraction).
-    double culled_external_mw(node_id n) const;
-    void end_transmission(std::size_t tx_index);
-    void update_all_channel_states();
-    void update_reception_sinrs();
+    /// Noise floor plus the clamped incremental sum - the one definition
+    /// of external power behind every read (public accessor, CCA
+    /// notifications, interference subtraction).
     double external_power_mw(node_id n) const;
-    double interference_mw(node_id rx, std::size_t locked_tx) const;
-    void try_lock_receivers(std::size_t tx_index);
-    /// Received power of one active transmission at `rx`, including the
-    /// frame's frozen fading draw (dense mode).
-    double faded_rx_power_dbm(const transmission& t, node_id rx) const;
+    void end_transmission(std::size_t tx_index);
     void maybe_compact_log();
 
-    // Dense-matrix storage helpers (dense mode).
-    void grow_dense_gains();
-    // Neighbor-culled machinery.
     static std::uint64_t link_key(node_id a, node_id b) noexcept;
     void freeze_topology();
     /// Per-slot rx power (mW) of a transmission over its CSR row.
@@ -194,15 +172,9 @@ private:
     stats::rng rng_;
     std::vector<medium_listener*> listeners_;
 
-    // Dense mode: node_count^2 gain matrix over a power-of-two-ish
-    // stride so add_node growth is amortized O(N^2) total, not O(N^3).
-    std::vector<double> gains_db_;
-    std::size_t gain_stride_ = 0;
-
-    // Culled mode: sparse symmetric gains keyed by (min, max) node id;
-    // stays authoritative for link_gain_db after the freeze.
+    // Sparse symmetric gains keyed by (min, max) node id; stays
+    // authoritative for link_gain_db after the freeze.
     std::unordered_map<std::uint64_t, double> sparse_gains_;
-    bool culled_ = false;
     bool frozen_ = false;
     // CSR audibility neighbor lists, built at freeze time: row n holds
     // the ids that can hear n (and that n can hear - gains are
@@ -237,7 +209,6 @@ private:
     std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
                                                    ///< -1 when off air
     std::vector<std::optional<reception>> lock_by_node_;
-    std::vector<sim::time_us> last_tx_start_;
     std::size_t active_count_ = 0;
     medium_counters counters_;
 };

@@ -180,21 +180,10 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
     }
 
     const auto nodes = node_positions(topology);
-    if (config.radio.audibility_enabled()) {
-        // Neighbor-culled medium: only set the gains the floor keeps -
-        // the spatial grid finds them in O(N * k) instead of O(N^2).
-        for (const auto& [a, b] : audible_link_pairs(topology, config)) {
-            net.set_link_gain_db(a, b,
-                                 config.gain_db(distance(nodes[a], nodes[b])));
-        }
-    } else {
-        for (std::size_t a = 0; a < nodes.size(); ++a) {
-            for (std::size_t b = a + 1; b < nodes.size(); ++b) {
-                net.set_link_gain_db(
-                    static_cast<node_id>(a), static_cast<node_id>(b),
-                    config.gain_db(distance(nodes[a], nodes[b])));
-            }
-        }
+    // Only set the gains the floor keeps: with the floor on, the spatial
+    // grid finds them in O(N * k) instead of O(N^2).
+    for (const auto& [a, b] : audible_link_pairs(topology, config)) {
+        net.set_link_gain_db(a, b, config.gain_db(distance(nodes[a], nodes[b])));
     }
     for (std::size_t i = 0; i < n; ++i) {
         dcf_node& sender = net.node(senders[i]);

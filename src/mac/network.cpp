@@ -39,15 +39,12 @@ void network::run(sim::time_us duration_us) {
         // is a pure wall-clock choice: a binary heap is near-optimal
         // for the handful of pending events a one- or two-pair run
         // keeps, while the calendar wheel's O(1) arm/cancel wins once
-        // hundreds of nodes hold standing timers. The CSENSE_QUEUE_BACKEND
-        // override pins every queue in the process for A/B timing.
+        // hundreds of nodes hold standing timers.
+        constexpr std::size_t kDenseNodeThreshold = 256;
         sim::event_queue_config queue_config = sim::default_queue_config();
-        if (!sim::forced_queue_backend()) {
-            constexpr std::size_t kDenseNodeThreshold = 256;
-            queue_config.backend = nodes_.size() >= kDenseNodeThreshold
-                                       ? sim::queue_backend::calendar
-                                       : sim::queue_backend::heap;
-        }
+        queue_config.backend = nodes_.size() >= kDenseNodeThreshold
+                                   ? sim::queue_backend::calendar
+                                   : sim::queue_backend::heap;
         sim_.reconfigure_queue(queue_config);
         for (auto& node : nodes_) node->start();
         started_ = true;

@@ -17,9 +17,8 @@ enum class cs_mode {
     energy_and_preamble,  ///< either signal marks the channel busy
 };
 
-/// Sentinel for radio_config::audibility_floor_dbm: no culling, the
-/// medium runs its dense O(N^2) path (bit-identical to builds without
-/// the neighbor-culled medium).
+/// Sentinel for radio_config::audibility_floor_dbm: no culling, every
+/// link with a gain set is audible.
 inline constexpr double audibility_floor_disabled_dbm = -1.0e300;
 
 /// Per-deployment radio constants.
@@ -36,7 +35,7 @@ struct radio_config {
                                            ///< fading residue (lognormal dB)
 
     /// Medium-scaling knob: received powers below this floor are treated
-    /// as exactly zero, and the medium culls such links into per-node
+    /// as exactly zero, and the medium culls such links from its per-node
     /// audibility neighbor lists (CSR), making every transmission event
     /// O(neighbors) instead of O(nodes). When fading_sigma_db > 0 the
     /// cull criterion is the link's *mean* rx power against the floor
@@ -57,11 +56,11 @@ struct radio_config {
     /// against preamble_threshold_dbm and cs_threshold_dbm, and callers
     /// installing per-node overrides (cs_adaptation_config::
     /// min_threshold_dbm, mac_config::cs_threshold_offset_db) must keep
-    /// them above the floor too. Default: disabled (dense medium,
-    /// byte-identical to the pre-culling implementation).
+    /// them above the floor too. Default: disabled - every link with a
+    /// gain set stays audible, so each node has N - 1 neighbors.
     double audibility_floor_dbm = audibility_floor_disabled_dbm;
 
-    /// Medium-scaling knob (culled mode only): every this-many
+    /// Medium-scaling knob: every this-many
     /// transmission *ends* the medium rebuilds each node's running
     /// external-power sum exactly from the active transmissions, so the
     /// compensated incremental accounting can never drift over long
@@ -71,7 +70,7 @@ struct radio_config {
     /// audible set empties still bound the error).
     int power_refresh_interval = 4096;
 
-    /// True when audibility_floor_dbm is set (neighbor-culled medium).
+    /// True when audibility_floor_dbm is set (sub-floor links culled).
     bool audibility_enabled() const noexcept {
         return audibility_floor_dbm > audibility_floor_disabled_dbm;
     }

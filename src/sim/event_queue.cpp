@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -16,26 +14,8 @@ constexpr std::uint64_t kUnboundedTick = ~std::uint64_t{0};
 
 }  // namespace
 
-std::optional<queue_backend> forced_queue_backend() noexcept {
-    // Read once: the env knob is a wall-clock A/B switch (both backends
-    // are byte-identical in output), not per-queue state.
-    static const std::optional<queue_backend> forced =
-        []() -> std::optional<queue_backend> {
-        const char* env = std::getenv("CSENSE_QUEUE_BACKEND");
-        if (env == nullptr) return std::nullopt;
-        if (std::strcmp(env, "heap") == 0) return queue_backend::heap;
-        if (std::strcmp(env, "calendar") == 0) return queue_backend::calendar;
-        return std::nullopt;
-    }();
-    return forced;
-}
-
 const event_queue_config& default_queue_config() noexcept {
-    static const event_queue_config config = [] {
-        event_queue_config c;
-        c.backend = forced_queue_backend().value_or(queue_backend::calendar);
-        return c;
-    }();
+    static const event_queue_config config;
     return config;
 }
 

@@ -78,17 +78,10 @@ struct event_queue_config {
     std::uint32_t bucket_count = 4096;
 };
 
-/// The process-default queue configuration: calendar backend, unless
-/// the environment overrides it (CSENSE_QUEUE_BACKEND=heap|calendar).
-/// Both backends produce byte-identical simulations, so the override
-/// is a pure wall-clock knob for perf A/B runs (tools/perf).
+/// The process-default queue configuration: calendar backend. Both
+/// backends produce byte-identical simulations; scale-aware callers
+/// (mac::network) pick one per queue through event_queue_config.
 const event_queue_config& default_queue_config() noexcept;
-
-/// The backend forced by CSENSE_QUEUE_BACKEND, if any. Scale-aware
-/// callers (mac::network) pick heap below a pending-population where a
-/// binary heap is near-optimal and calendar above it; the env override
-/// pins every queue in the process to one backend for A/B timing.
-std::optional<queue_backend> forced_queue_backend() noexcept;
 
 /// Deterministically ordered event queue with slot-recycling storage
 /// for the scheduled actions.

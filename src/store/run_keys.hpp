@@ -1,10 +1,9 @@
 // The one place the checkpoint-store key scheme lives.
 //
-// PR 7 grew these strings inline in bench/main.cpp; now that three
+// These strings first grew inline in bench/main.cpp; now that two
 // binaries must agree on them byte-for-byte (csense_bench writing
-// shard stores, csense_merge validating and splicing them,
-// csense_sweep_serve using them as sweep-cache keys), the scheme is a
-// library contract:
+// shard stores, csense_merge validating and splicing them), the scheme
+// is a library contract:
 //
 //   env fingerprint   sorted "K=V;K=V" of every CSENSE_* variable
 //                     except CSENSE_THREADS (results are thread-count
@@ -30,8 +29,9 @@
 namespace csense::store {
 
 /// Schema version every csense_bench checkpoint store validates
-/// against.
-inline constexpr std::string_view kBenchStoreSchema = "csense-bench/1";
+/// against. /2: floor-off runs moved to the neighbour-list medium, so
+/// records written before must read as stale, not splice into new output.
+inline constexpr std::string_view kBenchStoreSchema = "csense-bench/2";
 
 /// Key of the per-shard run manifest record (see shard_merge.hpp).
 inline constexpr std::string_view kManifestKey = "manifest/run";

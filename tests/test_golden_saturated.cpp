@@ -1,8 +1,6 @@
-// Golden-JSON regression for the saturated default: the traffic-source /
-// per-node-queue refactor (PR 8) promised that every saturated config
-// reproduces the pre-refactor event sequence bit-for-bit. The committed
-// golden document was generated by the PR 7 binary (before traffic
-// sources existed) with
+// Golden-JSON regression for the saturated default: every saturated
+// config must keep reproducing the committed event sequence
+// bit-for-bit. The golden document was generated with
 //
 //   CSENSE_FAST=1 csense_bench --filter 'camp01*,camp02*,tab05*'
 //       --seed 7 --no-timings --json golden.json
@@ -11,8 +9,8 @@
 // packet-level scenarios that exercise the MAC end to end (multi-pair
 // campaigns + the two-pair exposed-terminal table) without any
 // wall-clock metrics (perf_micro's ms/iter numbers are machine noise by
-// design). If this test fails, the refactored MAC changed the saturated
-// event sequence - a regression, not a baseline to re-record casually.
+// design). If this test fails, the MAC changed the saturated event
+// sequence - a regression, not a baseline to re-record casually.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -50,8 +48,8 @@ TEST(GoldenSaturated, ByteIdenticalToPreRefactorBinary) {
     const std::string current = read_file(out);
     ASSERT_FALSE(current.empty());
     EXPECT_EQ(current, golden)
-        << "saturated configs must stay byte-identical to the "
-           "pre-refactor binary (PR 7)";
+        << "saturated configs must stay byte-identical to the golden "
+           "document";
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// The neighbor-culled medium (PR 5): audibility neighbor lists, the
-// incremental Kahan power accounting, and the spatial-grid topology
-// setup must reproduce the dense medium - exactly where the model says
-// they are exact (sub-floor power treated as zero), and within a tight
-// tolerance on end-to-end metrics over random topologies. Also the
-// unified bounds checking across the medium's public surface.
+// The neighbor-list medium: audibility neighbor lists, the incremental
+// Kahan power accounting, and the spatial-grid topology setup. A
+// brute-force power oracle re-sums every on-air sender after each
+// transmission start and end; with the audibility floor set, runs must
+// match floor-off runs within a tight tolerance on end-to-end metrics
+// over random topologies. Also the unified bounds checking across the
+// medium's public surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/capacity/rate_table.hpp"
 #include "src/mac/medium.hpp"
 #include "src/mac/multi_pair.hpp"
+#include "src/propagation/units.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/rng.hpp"
 
@@ -120,7 +123,6 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     air.set_link_gain_db(na, nc, -140.0);  // -125 dBm rx: below the floor
     air.set_link_gain_db(nb, nc, -140.0);
 
-    EXPECT_TRUE(air.neighbor_culling());
     sim.schedule_in(0.0, [&] {
         air.start_transmission(na, data_frame(na, 6.0), true);
     });
@@ -164,9 +166,9 @@ multi_pair_config sparse_arena_config(bool culled) {
 }
 
 TEST(MediumCulling, EndToEndMetricsMatchDenseWithinTolerance) {
-    // The satellite gate: on random N=20 topologies, the culled medium's
-    // throughput/fairness must agree with the dense medium within a
-    // tolerance set by the dropped sub-floor power (< 0.2 dB of
+    // On random N=20 topologies, the floor-on medium's throughput and
+    // fairness must agree with the floor-off medium (every link audible)
+    // within a tolerance set by the dropped sub-floor power (< 0.2 dB of
     // aggregate interference in this arena). The runs are stochastic
     // replays of the same seed, so residual divergence comes only from
     // rare PER draws flipped by the tiny SINR shift.
@@ -174,21 +176,21 @@ TEST(MediumCulling, EndToEndMetricsMatchDenseWithinTolerance) {
         stats::rng gen(seed);
         const auto topology = mac::sample_multi_pair_topology(
             /*pairs=*/20, /*arena_m=*/400.0, /*rmax_m=*/10.0, gen);
-        auto dense = sparse_arena_config(false);
+        auto floor_off = sparse_arena_config(false);
         auto culled = sparse_arena_config(true);
-        dense.seed = culled.seed = 1000 + seed;
-        const auto dense_run = mac::run_multi_pair(topology, dense);
+        floor_off.seed = culled.seed = 1000 + seed;
+        const auto floor_off_run = mac::run_multi_pair(topology, floor_off);
         const auto culled_run = mac::run_multi_pair(topology, culled);
-        ASSERT_GT(dense_run.total_pps, 0.0);
-        EXPECT_NEAR(culled_run.total_pps / dense_run.total_pps, 1.0, 0.05)
+        ASSERT_GT(floor_off_run.total_pps, 0.0);
+        EXPECT_NEAR(culled_run.total_pps / floor_off_run.total_pps, 1.0, 0.05)
             << "seed " << seed;
-        EXPECT_NEAR(culled_run.jain_index(), dense_run.jain_index(), 0.05)
+        EXPECT_NEAR(culled_run.jain_index(), floor_off_run.jain_index(), 0.05)
             << "seed " << seed;
         // Same transmission counters: backoff streams are per-node and
-        // the culled CCA sees the same super-threshold power.
+        // the floor-on CCA sees the same super-threshold power.
         EXPECT_NEAR(static_cast<double>(culled_run.counters.transmissions),
-                    static_cast<double>(dense_run.counters.transmissions),
-                    0.02 * static_cast<double>(dense_run.counters.transmissions))
+                    static_cast<double>(floor_off_run.counters.transmissions),
+                    0.02 * static_cast<double>(floor_off_run.counters.transmissions))
             << "seed " << seed;
     }
 }
@@ -231,23 +233,24 @@ TEST(MediumCulling, FadingWidensTheCullCriterionByThreeSigma) {
 }
 
 TEST(MediumCulling, EndToEndMetricsMatchDenseWithFadingEnabled) {
-    // With fading the two modes consume RNG differently (dense draws a
-    // fade per node, culled per neighbor), so runs diverge stochastically
-    // rather than only by the dropped sub-floor power - but thanks to
-    // the 3-sigma cull allowance the aggregate metrics must still agree.
+    // With fading the two configs consume RNG differently (one fade draw
+    // per neighbor, and the floor removes neighbors), so runs diverge
+    // stochastically rather than only by the dropped sub-floor power -
+    // but thanks to the 3-sigma cull allowance the aggregate metrics
+    // must still agree.
     for (const std::uint64_t seed : {11u, 22u, 33u}) {
         stats::rng gen(seed);
         const auto topology = mac::sample_multi_pair_topology(20, 400.0, 10.0, gen);
-        auto dense = sparse_arena_config(false);
+        auto floor_off = sparse_arena_config(false);
         auto culled = sparse_arena_config(true);
-        dense.radio.fading_sigma_db = culled.radio.fading_sigma_db = 3.0;
-        dense.seed = culled.seed = 1000 + seed;
-        const auto dense_run = mac::run_multi_pair(topology, dense);
+        floor_off.radio.fading_sigma_db = culled.radio.fading_sigma_db = 3.0;
+        floor_off.seed = culled.seed = 1000 + seed;
+        const auto floor_off_run = mac::run_multi_pair(topology, floor_off);
         const auto culled_run = mac::run_multi_pair(topology, culled);
-        ASSERT_GT(dense_run.total_pps, 0.0);
-        EXPECT_NEAR(culled_run.total_pps / dense_run.total_pps, 1.0, 0.05)
+        ASSERT_GT(floor_off_run.total_pps, 0.0);
+        EXPECT_NEAR(culled_run.total_pps / floor_off_run.total_pps, 1.0, 0.05)
             << "seed " << seed;
-        EXPECT_NEAR(culled_run.jain_index(), dense_run.jain_index(), 0.05)
+        EXPECT_NEAR(culled_run.jain_index(), floor_off_run.jain_index(), 0.05)
             << "seed " << seed;
     }
 }
@@ -319,17 +322,172 @@ TEST(MediumCulling, GridLinkingMatchesBruteForce) {
     EXPECT_LE(grid_set.size(), audible + 2);
 }
 
-TEST(MediumCulling, DefaultConfigKeepsTheDensePath) {
-    // camp01-camp04 and every historical scenario construct their radios
-    // from the defaults: the floor must stay disabled there, so those
-    // runs take the dense path and remain byte-identical to pre-culling
-    // builds (verified against the PR-4 binary when this landed).
+TEST(MediumCulling, DefaultConfigKeepsAllNeighbors) {
+    // camp01-camp04 and the testbed scenarios construct their radios
+    // from the defaults: the floor stays disabled there, so every link
+    // with a gain set is audible and each row holds all N - 1 others.
     EXPECT_FALSE(radio_config{}.audibility_enabled());
     EXPECT_FALSE(multi_pair_config{}.radio.audibility_enabled());
     sim::simulator sim;
     const capacity::logistic_per_model errors;
     medium air(sim, radio_config{}, errors, 1);
-    EXPECT_FALSE(air.neighbor_culling());
+    constexpr node_id nodes = 6;
+    std::vector<recorder> listeners(nodes);
+    for (auto& l : listeners) air.add_node(l);
+    for (node_id a = 0; a < nodes; ++a) {
+        for (node_id b = a + 1; b < nodes; ++b) {
+            // Far below any threshold: audible only because the floor
+            // is off.
+            air.set_link_gain_db(a, b, -400.0 - a - b);
+        }
+    }
+    sim.schedule_in(0.0, [&] {
+        air.start_transmission(0, data_frame(0, 6.0), true);
+    });
+    sim.run_until(10.0);
+    for (node_id n = 0; n < nodes; ++n) {
+        EXPECT_EQ(air.neighbor_count(n), nodes - 1) << "node " << n;
+    }
+}
+
+/// Listener that reports its own transmission ends to the test.
+struct tx_end_probe final : medium_listener {
+    std::function<void()> on_end;
+
+    void on_channel_update(double) override {}
+    void on_preamble(const frame&, double, sim::time_us) override {}
+    void on_frame_received(const frame&, double, double, bool) override {}
+    void on_tx_complete(const frame&) override { on_end(); }
+};
+
+/// Drives random overlapping broadcasts on N = 20 nodes with uniformly
+/// random link gains and, after every transmission start and end,
+/// compares medium::external_power_dbm at every node against a
+/// brute-force sum over the senders on air.
+void check_power_against_oracle(double floor_dbm, std::uint64_t seed) {
+    constexpr node_id nodes = 20;
+    sim::simulator sim;
+    const capacity::logistic_per_model errors;
+    radio_config radio;
+    radio.audibility_floor_dbm = floor_dbm;
+    medium air(sim, radio, errors, seed);
+    std::vector<tx_end_probe> probes(nodes);
+    for (auto& p : probes) air.add_node(p);
+
+    stats::rng gen(seed);
+    std::vector<std::vector<double>> rx_mw(nodes, std::vector<double>(nodes));
+    for (node_id a = 0; a < nodes; ++a) {
+        for (node_id b = a + 1; b < nodes; ++b) {
+            const double gain_db = gen.uniform(-150.0, -60.0);
+            air.set_link_gain_db(a, b, gain_db);
+            rx_mw[a][b] = rx_mw[b][a] =
+                propagation::dbm_to_mw(radio.tx_power_dbm + gain_db);
+        }
+    }
+    const double noise_mw = propagation::dbm_to_mw(radio.noise_floor_dbm);
+    const double floor_mw = radio.audibility_enabled()
+                                ? propagation::dbm_to_mw(floor_dbm)
+                                : 0.0;
+    // Each culled link carries less than the floor, so the full sum can
+    // exceed the kept one by at most this much (0 with the floor off).
+    const double max_dropped_db =
+        10.0 * std::log10(1.0 + (nodes - 1) * floor_mw / noise_mw);
+
+    std::vector<bool> on_air(nodes, false);
+    int checks = 0;
+    const auto check = [&] {
+        for (node_id n = 0; n < nodes; ++n) {
+            // Oracle: every on-air sender's power at n, and the part of
+            // it the floor keeps.
+            double all_mw = noise_mw;
+            double kept_mw = noise_mw;
+            for (node_id s = 0; s < nodes; ++s) {
+                if (s == n || !on_air[s]) continue;
+                all_mw += rx_mw[s][n];
+                if (rx_mw[s][n] >= floor_mw) kept_mw += rx_mw[s][n];
+            }
+            const double got_dbm = air.external_power_dbm(n);
+            EXPECT_NEAR(got_dbm, propagation::mw_to_dbm(kept_mw), 1e-9)
+                << "node " << n << " at t=" << sim.now();
+            EXPECT_NEAR(got_dbm, propagation::mw_to_dbm(all_mw),
+                        max_dropped_db + 1e-9)
+                << "node " << n << " at t=" << sim.now();
+        }
+        ++checks;
+    };
+    for (node_id n = 0; n < nodes; ++n) {
+        probes[n].on_end = [&, n] {
+            on_air[n] = false;
+            check();
+        };
+    }
+    for (int k = 0; k < 300; ++k) {
+        const double at = gen.uniform(0.0, 20'000.0);
+        const auto src = static_cast<node_id>(gen.uniform_int(nodes));
+        const int bytes = 100 + static_cast<int>(gen.uniform_int(1400));
+        sim.schedule_at(at, [&, src, bytes] {
+            if (air.transmitting(src)) return;
+            air.start_transmission(src, data_frame(src, 6.0, bytes), true);
+            on_air[src] = true;
+            check();
+        });
+    }
+    sim.run_until(40'000.0);
+    EXPECT_GT(checks, 300) << "too few starts landed on idle senders";
+    for (node_id n = 0; n < nodes; ++n) EXPECT_FALSE(on_air[n]);
+
+    std::size_t links = 0;
+    for (node_id n = 0; n < nodes; ++n) links += air.neighbor_count(n);
+    if (radio.audibility_enabled()) {
+        EXPECT_LT(links, std::size_t{nodes} * (nodes - 1))
+            << "the floor should cull some of these links";
+    } else {
+        EXPECT_EQ(links, std::size_t{nodes} * (nodes - 1));
+    }
+}
+
+TEST(MediumCulling, ExternalPowerMatchesBruteForceOracleFloorOff) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        check_power_against_oracle(audibility_floor_disabled_dbm, seed);
+    }
+}
+
+TEST(MediumCulling, ExternalPowerMatchesBruteForceOracleFloorOn) {
+    const double floor_dbm = radio_config{}.noise_floor_dbm - 20.0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        check_power_against_oracle(floor_dbm, seed);
+    }
+}
+
+TEST(MediumCulling, RxPowerExactlyAtCsThresholdCountsAsBusyStart) {
+    // Energy CCA's rule is power >= threshold; the medium compares in mW,
+    // and a link whose rx power equals cs_threshold_dbm exactly must
+    // still count as busy. A hair below, it must not.
+    const capacity::logistic_per_model errors;
+    const radio_config radio;
+    const auto busy_starts = [&](double rx_dbm) {
+        sim::simulator sim;
+        medium air(sim, radio, errors, 3);
+        recorder a, b;
+        const auto na = air.add_node(a);
+        const auto nb = air.add_node(b);
+        air.set_link_gain_db(na, nb, rx_dbm - radio.tx_power_dbm);
+        sim.schedule_in(0.0, [&] {
+            air.start_transmission(na, data_frame(na, 6.0), true);
+        });
+        sim.schedule_in(100.0, [&] {
+            air.start_transmission(nb, data_frame(nb, 6.0), true);
+        });
+        sim.run_until(200.0);
+        return air.counters().busy_starts;
+    };
+    ASSERT_EQ(radio.tx_power_dbm + (radio.cs_threshold_dbm - radio.tx_power_dbm),
+              radio.cs_threshold_dbm)
+        << "the boundary gain must reproduce the threshold exactly";
+    EXPECT_EQ(busy_starts(radio.cs_threshold_dbm), 1u);
+    EXPECT_EQ(busy_starts(radio.cs_threshold_dbm - 1e-6), 0u);
 }
 
 TEST(MediumCulling, DisabledFloorReturnsAllPairs) {
