@@ -109,7 +109,8 @@ public:
     /// hook; see src/mac/adaptive_cs.hpp). The energy-busy state is
     /// recomputed against the last observed external power immediately,
     /// so a threshold step mid-backoff behaves exactly like a channel
-    /// power change.
+    /// power change. Throws std::invalid_argument on a non-finite
+    /// threshold.
     void set_cs_threshold_dbm(double threshold_dbm);
 
     /// Cumulative time this node's CCA has reported energy-busy, up to
@@ -118,14 +119,14 @@ public:
     sim::time_us energy_busy_time_us() const;
 
     /// Time integral of the observed external power (mW x us) up to the
-    /// current instant. An epoch delta divided by the epoch length is
-    /// the mean sensed interference power (noise floor included). Only
-    /// accumulated while this node's adaptation is enabled
-    /// (mac_config::adapt) - non-adaptive nodes skip the bookkeeping.
+    /// current instant (medium::external_power_integral_mw_us). An epoch
+    /// delta divided by the epoch length is the mean sensed interference
+    /// power (noise floor included). Only reported while this node's
+    /// adaptation is enabled (mac_config::adapt); 0 otherwise.
     double external_power_integral_mw_us() const;
 
     // medium_listener interface.
-    void on_channel_update(double external_power_dbm) override;
+    void on_energy_busy(bool busy) override;
     void on_preamble(const frame& f, double rx_power_dbm,
                      sim::time_us until) override;
     void on_frame_received(const frame& f, double rx_power_dbm,
@@ -139,8 +140,6 @@ private:
 
     bool sense_enabled() const noexcept;
     bool channel_busy() const;
-    void account_external_power(double external_power_dbm);
-    void apply_energy_busy(bool busy);
     void reevaluate();
     void cancel_timer();
     void schedule_timer(sim::time_us delay, void (dcf_node::*handler)());
@@ -195,11 +194,9 @@ private:
     dcf_hot_state* hot_;
     dcf_hot_state own_hot_;  ///< fallback storage for pool-less nodes
 
-    // Adaptive carrier sense: per-node threshold override plus the
-    // sensed-power accounting the controllers consume (epoch-rate).
+    // Adaptive carrier sense: per-node threshold override (the medium
+    // holds the sensed-power accounting the controllers consume).
     std::optional<double> cs_threshold_override_dbm_;
-    double power_integral_mw_us_ = 0.0;
-    sim::time_us power_integral_mark_us_ = 0.0;
 
     // Per-packet cold state.
     std::uint64_t frame_sequence_ = 0;

@@ -52,14 +52,16 @@ void medium::reserve_nodes(std::size_t nodes) {
     active_tx_by_node_.reserve(nodes);
     ext_mw_.reserve(nodes);
     audible_count_.reserve(nodes);
+    cca_.reserve(nodes);
     sparse_gains_.reserve(nodes * 8);
 }
 
-node_id medium::add_node(medium_listener& listener) {
+node_id medium::add_node(medium_listener& listener, double cs_threshold_dbm) {
     if (frozen_ || !transmissions_.empty()) {
         throw std::logic_error("medium::add_node: topology is frozen once "
                                "transmissions begin");
     }
+    const double threshold_mw = propagation::dbm_boundary_mw(cs_threshold_dbm);
     const auto id = static_cast<node_id>(listeners_.size());
     listeners_.push_back(&listener);
     lock_by_node_.emplace_back();
@@ -67,6 +69,7 @@ node_id medium::add_node(medium_listener& listener) {
     active_tx_by_node_.push_back(-1);
     ext_mw_.emplace_back();
     audible_count_.push_back(0);
+    cca_.push_back(cca_state{threshold_mw, noise_mw_});
     return id;
 }
 
@@ -194,20 +197,54 @@ double medium::external_power_dbm(node_id n) const {
     return propagation::mw_to_dbm(external_power_mw(n));
 }
 
+void medium::set_cs_threshold_dbm(node_id n, double threshold_dbm) {
+    check_node(n, "medium::set_cs_threshold_dbm");
+    cca_state& cca = cca_[n];
+    cca.threshold_mw = propagation::dbm_boundary_mw(threshold_dbm);
+    const bool busy = cca.last_mw >= cca.threshold_mw;
+    if (busy != cca.busy) {
+        cca.busy = busy;
+        report_flip(n);
+    }
+}
+
+double medium::external_power_integral_mw_us(node_id n) const {
+    check_node(n, "medium::external_power_integral_mw_us");
+    const cca_state& cca = cca_[n];
+    return cca.integral_mw_us + cca.last_mw * (sim_.now() - cca.mark_us);
+}
+
+bool medium::cca_state::sense(double power_mw, sim::time_us now) {
+    integral_mw_us += last_mw * (now - mark_us);
+    mark_us = now;
+    last_mw = power_mw;
+    const bool now_busy = power_mw >= threshold_mw;
+    if (now_busy == busy) return false;
+    busy = now_busy;
+    return true;
+}
+
+void medium::report_flip(node_id n) {
+    ++counters_.cca_flips;
+    listeners_[n]->on_energy_busy(cca_[n].busy);
+}
+
 void medium::notify_neighbors_after_cca(node_id src) {
     // Clear-channel assessment takes time: nodes learn about a power
     // change cca_delay_us after it happens, and see the power as it is
     // *then*. The stale window is what permits slot collisions. Only
     // the audible neighbors of the changed transmitter saw any power
-    // move, so only they are notified; the transmitter's own external
-    // power did not change, so it is not notified either.
+    // move, so only they sense it; the transmitter's own external power
+    // did not change, so it does not. A listener hears only flips of
+    // its energy CCA.
     sim_.schedule_in(radio_.cca_delay_us, [this, src] {
+        const sim::time_us now = sim_.now();
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
+        counters_.cca_visits += end - begin;
         for (std::size_t s = begin; s < end; ++s) {
             const node_id n = nbr_id_[s];
-            listeners_[n]->on_channel_update(
-                propagation::mw_to_dbm(external_power_mw(n)));
+            if (cca_[n].sense(external_power_mw(n), now)) report_flip(n);
         }
     });
 }
@@ -275,12 +312,21 @@ void medium::start_transmission(node_id src, const frame& f,
         lock_by_node_[src].reset();
     }
 
-    transmission t;
+    // Take a free slot (ended frames return theirs), so the table stays
+    // as large as the most frames ever on the air at once.
+    std::size_t index = transmissions_.size();
+    if (free_slots_.empty()) {
+        transmissions_.emplace_back();
+    } else {
+        index = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    transmission& t = transmissions_[index];
     t.f = f;
     t.src = src;
     t.start = now;
     t.end = now + f.airtime_us();
-    t.active = true;
+    t.rx_mw.clear();
     if (radio_.fading_sigma_db > 0.0) {
         // Fade draws only for the audible neighbors, in row (node-id)
         // order, folded straight into the precomputed rx power.
@@ -291,15 +337,11 @@ void medium::start_transmission(node_id src, const frame& f,
                 nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
         }
     }
-    transmissions_.push_back(std::move(t));
-    const std::size_t index = transmissions_.size() - 1;
     active_tx_.push_back(index);
     tx_flag_by_node_[src] = 1;
     active_tx_by_node_[src] = static_cast<std::int64_t>(index);
-    ++active_count_;
 
-    const transmission& added = transmissions_[index];
-    const double* row = row_rx_mw(added);
+    const double* row = row_rx_mw(t);
     // Incremental power accounting: this frame's rx power joins each
     // neighbor's running external sum.
     for (std::size_t s = begin; s < end; ++s) {
@@ -313,9 +355,8 @@ void medium::start_transmission(node_id src, const frame& f,
         if (!lock || !lock->active) continue;
         const double interference = std::max(
             external_power_mw(lock->rx) - lock->signal_mw, min_positive_mw);
-        const double sinr_db = propagation::mw_to_dbm(lock->signal_mw) -
-                               propagation::mw_to_dbm(interference);
-        lock->min_sinr_db = std::min(lock->min_sinr_db, sinr_db);
+        lock->max_interference_mw =
+            std::max(lock->max_interference_mw, interference);
     }
     // Then candidate neighbors may lock onto this frame.
     for (std::size_t s = begin; s < end; ++s) {
@@ -331,44 +372,28 @@ void medium::start_transmission(node_id src, const frame& f,
         // The preamble is decodable at this node: announce it (carrier
         // sense hook) after the CCA lag, and lock if the receiver is free.
         medium_listener* listener = listeners_[n];
-        const frame announced = added.f;
-        const sim::time_us until = added.end;
+        const frame announced = t.f;
+        const sim::time_us until = t.end;
         sim_.schedule_in(radio_.cca_delay_us,
                          [listener, announced, power_dbm, until] {
                              listener->on_preamble(announced, power_dbm, until);
                          });
         if (!lock_by_node_[n]) {
-            lock_by_node_[n] = reception{index, n, power_mw, sinr_db, true};
+            lock_by_node_[n] = reception{index, n, power_mw, interference, true};
         }
     }
     notify_neighbors_after_cca(src);
 
-    sim_.schedule_at(added.end, [this, index] { end_transmission(index); });
-}
-
-void medium::maybe_compact_log() {
-    // Compact the log occasionally so long runs stay O(active).
-    if (transmissions_.size() > 4096 && active_count_ == 0) {
-        bool any_locked = false;
-        for (const auto& lock : lock_by_node_) {
-            if (lock) any_locked = true;
-        }
-        if (!any_locked) {
-            transmissions_.clear();
-            active_tx_.clear();
-        }
-    }
+    sim_.schedule_at(t.end, [this, index] { end_transmission(index); });
 }
 
 void medium::end_transmission(std::size_t tx_index) {
     // Copy what callbacks need: listeners may re-enter start_transmission,
-    // which can reallocate transmissions_.
+    // which can reallocate transmissions_ or reuse this slot.
     const frame ended = transmissions_[tx_index].f;
     const node_id src = transmissions_[tx_index].src;
-    transmissions_[tx_index].active = false;
     tx_flag_by_node_[src] = 0;
     active_tx_by_node_[src] = -1;
-    --active_count_;
     // Swap-erase: active order only feeds the exact refresh, whose
     // association is deterministic either way.
     const auto it = std::find(active_tx_.begin(), active_tx_.end(), tx_index);
@@ -398,13 +423,17 @@ void medium::end_transmission(std::size_t tx_index) {
         auto& lock = lock_by_node_[nbr_id_[s]];
         if (!lock || !lock->active || lock->tx_index != tx_index) continue;
         lock->active = false;
-        const double per = errors_.packet_error_rate(
-            *ended.rate, lock->min_sinr_db, ended.bytes);
+        const double signal_dbm = propagation::mw_to_dbm(lock->signal_mw);
+        const double sinr_db =
+            signal_dbm - propagation::mw_to_dbm(lock->max_interference_mw);
+        const double per =
+            errors_.packet_error_rate(*ended.rate, sinr_db, ended.bytes);
         const bool decoded = rng_.uniform() >= per;
-        deliveries.push_back({lock->rx, propagation::mw_to_dbm(lock->signal_mw),
-                              lock->min_sinr_db, decoded});
+        deliveries.push_back({lock->rx, signal_dbm, sinr_db, decoded});
         lock.reset();
     }
+    // No lock refers to the frame any more: its slot is free.
+    free_slots_.push_back(tx_index);
     // Interference relief never lowers a min-SINR, so there is no SINR
     // sweep after the removal.
     if (radio_.power_refresh_interval > 0 &&
@@ -418,7 +447,6 @@ void medium::end_transmission(std::size_t tx_index) {
     }
     notify_neighbors_after_cca(src);
     listeners_[src]->on_tx_complete(ended);
-    maybe_compact_log();
 }
 
 }  // namespace csense::mac

@@ -17,8 +17,13 @@
 // neighbor lists (CSR) at the first transmission, per-link rx powers
 // are precomputed in mW, and each node carries an incremental
 // Kahan-compensated running external-power sum updated on tx start/end
-// - so channel updates, preamble fan-out, and SINR tracking touch only
-// audible neighbors: O(k) per event. radio_config::audibility_floor_dbm
+// - so CCA callbacks, preamble fan-out, and SINR tracking touch only
+// audible neighbors: O(k) per event. The per-neighbor work is linear
+// arithmetic, with no logarithm: energy CCA compares the sensed mW
+// against each node's exact mW threshold boundary and calls the
+// listener only when the busy state flips, and locked receptions track
+// their worst interference in mW, converted to a dB SINR once when the
+// frame settles. radio_config::audibility_floor_dbm
 // decides which links are audible. Left at its sentinel, every link
 // with a gain set is audible and each row holds all N - 1 other nodes;
 // set, links whose received power falls below the floor are treated as
@@ -48,8 +53,10 @@ class medium_listener {
 public:
     virtual ~medium_listener() = default;
 
-    /// Total external (not self-generated) power at this node changed.
-    virtual void on_channel_update(double external_power_dbm) = 0;
+    /// This node's energy CCA flipped: `busy` is whether the external
+    /// (not self-generated) power it senses is at or above its
+    /// carrier-sense threshold. Called only on a change.
+    virtual void on_energy_busy(bool busy) = 0;
 
     /// A decodable preamble passed by (node idle or locked, power above
     /// sensitivity). `until` is the frame's scheduled end time.
@@ -73,6 +80,10 @@ struct medium_counters {
     std::uint64_t chain_collisions = 0; ///< tx started over an audible
                                         ///< frame whose preamble was missed
     std::uint64_t busy_starts = 0;      ///< tx started over any audible frame
+    std::uint64_t cca_visits = 0;       ///< neighbor entries visited by CCA
+                                        ///< callbacks
+    std::uint64_t cca_flips = 0;        ///< energy-CCA changes (one
+                                        ///< on_energy_busy call each)
 };
 
 /// The medium itself.
@@ -84,8 +95,11 @@ public:
     medium(sim::simulator& sim, radio_config radio,
            const capacity::error_model& errors, std::uint64_t seed);
 
-    /// Register a node; ids must be assigned densely from 0.
-    node_id add_node(medium_listener& listener);
+    /// Register a node with its initial energy-detect threshold (dBm);
+    /// ids are assigned densely from 0. The node starts CCA-idle: the
+    /// threshold is first evaluated at its first CCA callback. Throws
+    /// std::invalid_argument on a non-finite threshold.
+    node_id add_node(medium_listener& listener, double cs_threshold_dbm);
 
     /// Pre-size internal per-node storage for `nodes` registrations.
     /// Purely an allocation hint - results never depend on it.
@@ -116,6 +130,19 @@ public:
     /// the air is silent).
     double external_power_dbm(node_id n) const;
 
+    /// Replace a node's energy-detect threshold (dBm). The busy state is
+    /// re-evaluated against the power sensed at the node's last CCA
+    /// callback immediately, so a threshold step behaves exactly like a
+    /// channel power change (on_energy_busy fires on a flip). Throws
+    /// std::invalid_argument on an unknown node or a non-finite threshold.
+    void set_cs_threshold_dbm(node_id n, double threshold_dbm);
+
+    /// Time integral of the external power sensed at a node's CCA
+    /// callbacks (mW x us), up to the current instant. An epoch delta
+    /// divided by the epoch length is the mean sensed interference power
+    /// (noise floor included).
+    double external_power_integral_mw_us(node_id n) const;
+
     const medium_counters& counters() const noexcept { return counters_; }
     const radio_config& radio() const noexcept { return radio_; }
 
@@ -123,9 +150,9 @@ public:
     /// topology must be frozen first (any transmission freezes it).
     std::size_t neighbor_count(node_id n) const;
 
-    /// Transmission-log entries currently held. Compaction clears the
-    /// log at quiet moments so long runs stay O(active); exposed for the
-    /// bounded-memory regression tests.
+    /// Transmission slots held: an ended frame frees its slot for the
+    /// next start, so this is the most frames ever on the air at once.
+    /// Exposed for the bounded-memory regression tests.
     std::size_t transmission_log_size() const noexcept {
         return transmissions_.size();
     }
@@ -136,7 +163,6 @@ private:
         node_id src;
         sim::time_us start;
         sim::time_us end;
-        bool active = true;
         /// With fading: faded rx power in mW per CSR neighbor slot of
         /// src. Empty without fading (the frame then reads the
         /// precomputed unfaded row directly).
@@ -147,8 +173,24 @@ private:
         std::size_t tx_index;   ///< into transmissions_
         node_id rx;
         double signal_mw;
-        double min_sinr_db;
+        /// Worst interference seen during the frame. 10*log10 is
+        /// monotone, so the frame's worst SINR is the signal over this.
+        double max_interference_mw;
         bool active = true;
+    };
+
+    /// One node's energy CCA: the threshold as an exact mW boundary
+    /// (propagation::dbm_boundary_mw), the busy state the listener last
+    /// heard, and the sensed-power integral.
+    struct cca_state {
+        double threshold_mw;
+        double last_mw;            ///< power sensed at the last callback
+        double integral_mw_us = 0.0;  ///< of last_mw, up to mark_us
+        sim::time_us mark_us = 0.0;
+        bool busy = false;
+
+        /// Senses `power_mw` at `now`; true when the busy state flipped.
+        bool sense(double power_mw, sim::time_us now);
     };
 
     void check_node(node_id n, const char* what) const;
@@ -157,7 +199,6 @@ private:
     /// notifications, interference subtraction).
     double external_power_mw(node_id n) const;
     void end_transmission(std::size_t tx_index);
-    void maybe_compact_log();
 
     static std::uint64_t link_key(node_id a, node_id b) noexcept;
     void freeze_topology();
@@ -165,6 +206,8 @@ private:
     const double* row_rx_mw(const transmission& t) const;
     void refresh_power_sums();
     void notify_neighbors_after_cca(node_id src);
+    /// Tells node n's listener about a busy flip.
+    void report_flip(node_id n);
 
     sim::simulator& sim_;
     radio_config radio_;
@@ -186,6 +229,7 @@ private:
     // floor) and the number of active audible transmissions behind it.
     std::vector<stats::kahan_sum> ext_mw_;
     std::vector<std::uint32_t> audible_count_;
+    std::vector<cca_state> cca_;
     int ends_since_refresh_ = 0;
     /// One settled reception, staged so delivery callbacks run after
     /// all lock bookkeeping (they may re-enter start_transmission).
@@ -203,13 +247,14 @@ private:
     double preamble_threshold_mw_ = 0.0;
     double cs_threshold_mw_ = 0.0;
 
+    /// Slot table of frames on the air; free_slots_ lists the unused ones.
     std::vector<transmission> transmissions_;
+    std::vector<std::size_t> free_slots_;
     std::vector<std::size_t> active_tx_;        ///< indices of active entries
     std::vector<std::uint8_t> tx_flag_by_node_; ///< 1 while a node is on air
     std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
                                                    ///< -1 when off air
     std::vector<std::optional<reception>> lock_by_node_;
-    std::size_t active_count_ = 0;
     medium_counters counters_;
 };
 

@@ -1,6 +1,6 @@
 // Hot per-node MAC state, packed one cache line per node.
 //
-// The DCF event handlers (channel updates, backoff timers, preamble
+// The DCF event handlers (CCA flips, backoff timers, preamble
 // wakes) touch a small, fixed set of fields on every event; leaving
 // them scattered inside dcf_node means a dense-network event walks a
 // ~500-byte object (stats map, traffic deque, quantile bins) to flip a
@@ -34,12 +34,12 @@ enum class dcf_state : std::uint8_t {
 };
 
 /// The per-event working set of one DCF node: channel-sense state,
-/// contention counters, and the timer generation. Exactly 64 bytes.
-struct dcf_hot_state {
+/// contention counters, and the timer generation. One aligned 64-byte
+/// line (the fields fill 56 bytes).
+struct alignas(64) dcf_hot_state {
     // Channel state.
     sim::time_us preamble_busy_until = 0.0;
     sim::time_us nav_until = 0.0;
-    double last_external_power_dbm = -200.0;  ///< noise floor at ctor
     sim::time_us busy_since = 0.0;
     sim::time_us busy_accum_us = 0.0;
     // Contention / timer state.

@@ -23,6 +23,13 @@ double mw_to_dbm(double mw);
 /// Convert dBm to milliwatts.
 double dbm_to_mw(double dbm) noexcept;
 
+/// The smallest double `b` with mw_to_dbm(b) >= `dbm`: the exact mW
+/// boundary of a dBm threshold. mw_to_dbm is non-decreasing, so for every
+/// positive power `p`, `p >= b` decides exactly like
+/// `mw_to_dbm(p) >= dbm` without a logarithm. Throws
+/// std::invalid_argument on a non-finite `dbm`.
+double dbm_boundary_mw(double dbm);
+
 /// Wavelength in meters for a carrier frequency in Hz.
 double wavelength_m(double frequency_hz);
 

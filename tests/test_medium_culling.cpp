@@ -4,13 +4,18 @@
 // transmission start and end; with the audibility floor set, runs must
 // match floor-off runs within a tight tolerance on end-to-end metrics
 // over random topologies. Also the unified bounds checking across the
-// medium's public surface.
+// medium's public surface, and the log-free fan-out: energy CCA decided
+// in mW against an exact threshold boundary and SINR tracked as the
+// worst interference in mW, both pinned to their dBm-domain oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "src/capacity/rate_table.hpp"
 #include "src/mac/medium.hpp"
 #include "src/mac/multi_pair.hpp"
+#include "src/mac/network.hpp"
 #include "src/propagation/units.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/rng.hpp"
@@ -29,11 +35,11 @@ using namespace csense::mac;
 using csense::capacity::rate_by_mbps;
 
 struct recorder final : medium_listener {
-    int channel_updates = 0;
+    int energy_flips = 0;
     int preambles = 0;
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
-    void on_channel_update(double) override { ++channel_updates; }
+    void on_energy_busy(bool) override { ++energy_flips; }
     void on_preamble(const frame&, double, sim::time_us) override {
         ++preambles;
     }
@@ -57,10 +63,11 @@ frame data_frame(node_id src, double mbps, int bytes = 1400) {
 TEST(MediumValidation, PublicSurfaceChecksNodeIdsUniformly) {
     sim::simulator sim;
     const capacity::logistic_per_model errors;
-    medium air(sim, radio_config{}, errors, 1);
+    const radio_config radio;
+    medium air(sim, radio, errors, 1);
     recorder a, b;
-    const auto na = air.add_node(a);
-    const auto nb = air.add_node(b);
+    const auto na = air.add_node(a, radio.cs_threshold_dbm);
+    const auto nb = air.add_node(b, radio.cs_threshold_dbm);
     air.set_link_gain_db(na, nb, -60.0);
 
     EXPECT_THROW(air.external_power_dbm(2), std::invalid_argument);
@@ -116,9 +123,9 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     const capacity::logistic_per_model errors;
     medium air(sim, radio, errors, 7);
     recorder a, b, c;
-    const auto na = air.add_node(a);
-    const auto nb = air.add_node(b);
-    const auto nc = air.add_node(c);
+    const auto na = air.add_node(a, radio.cs_threshold_dbm);
+    const auto nb = air.add_node(b, radio.cs_threshold_dbm);
+    const auto nc = air.add_node(c, radio.cs_threshold_dbm);
     air.set_link_gain_db(na, nb, -60.0);   // audible, decodable
     air.set_link_gain_db(na, nc, -140.0);  // -125 dBm rx: below the floor
     air.set_link_gain_db(nb, nc, -140.0);
@@ -140,9 +147,9 @@ TEST(MediumCulling, SubFloorLinksAreCulledAndNeighborsStillServed) {
     ASSERT_EQ(b.received.size(), 1u);
     EXPECT_EQ(b.received[0].first, na);
     EXPECT_TRUE(b.received[0].second);
-    EXPECT_GT(b.channel_updates, 0);
+    EXPECT_GT(b.energy_flips, 0);
     EXPECT_GT(b.preambles, 0);
-    EXPECT_EQ(c.channel_updates, 0);
+    EXPECT_EQ(c.energy_flips, 0);
     EXPECT_EQ(c.preambles, 0);
     EXPECT_TRUE(c.received.empty());
     // When the air went quiet the neighbor's power returned exactly to
@@ -208,8 +215,8 @@ TEST(MediumCulling, FadingWidensTheCullCriterionByThreeSigma) {
     sim::simulator sim_unfaded;
     medium unfaded(sim_unfaded, radio, errors, 7);
     recorder a1, b1;
-    const auto ua = unfaded.add_node(a1);
-    const auto ub = unfaded.add_node(b1);
+    const auto ua = unfaded.add_node(a1, radio.cs_threshold_dbm);
+    const auto ub = unfaded.add_node(b1, radio.cs_threshold_dbm);
     unfaded.set_link_gain_db(ua, ub, gain_db);
     sim_unfaded.schedule_in(0.0, [&] {
         unfaded.start_transmission(ua, data_frame(ua, 6.0), true);
@@ -221,8 +228,8 @@ TEST(MediumCulling, FadingWidensTheCullCriterionByThreeSigma) {
     radio.fading_sigma_db = 2.0;  // effective floor: -121 dBm
     medium faded(sim_faded, radio, errors, 7);
     recorder a2, b2;
-    const auto fa = faded.add_node(a2);
-    const auto fb = faded.add_node(b2);
+    const auto fa = faded.add_node(a2, radio.cs_threshold_dbm);
+    const auto fb = faded.add_node(b2, radio.cs_threshold_dbm);
     faded.set_link_gain_db(fa, fb, gain_db);
     sim_faded.schedule_in(0.0, [&] {
         faded.start_transmission(fa, data_frame(fa, 6.0), true);
@@ -330,10 +337,11 @@ TEST(MediumCulling, DefaultConfigKeepsAllNeighbors) {
     EXPECT_FALSE(multi_pair_config{}.radio.audibility_enabled());
     sim::simulator sim;
     const capacity::logistic_per_model errors;
-    medium air(sim, radio_config{}, errors, 1);
+    const radio_config radio;
+    medium air(sim, radio, errors, 1);
     constexpr node_id nodes = 6;
     std::vector<recorder> listeners(nodes);
-    for (auto& l : listeners) air.add_node(l);
+    for (auto& l : listeners) air.add_node(l, radio.cs_threshold_dbm);
     for (node_id a = 0; a < nodes; ++a) {
         for (node_id b = a + 1; b < nodes; ++b) {
             // Far below any threshold: audible only because the floor
@@ -350,13 +358,23 @@ TEST(MediumCulling, DefaultConfigKeepsAllNeighbors) {
     }
 }
 
-/// Listener that reports its own transmission ends to the test.
-struct tx_end_probe final : medium_listener {
+/// Listener for the oracle runs: reports its own transmission ends and,
+/// when asked, logs energy-CCA flips and settled frames.
+struct oracle_probe final : medium_listener {
+    node_id id = 0;
+    const sim::simulator* sim = nullptr;
+    std::vector<std::tuple<sim::time_us, node_id, bool>>* flips = nullptr;
     std::function<void()> on_end;
+    std::function<void(const frame&, double)> on_rx;
 
-    void on_channel_update(double) override {}
+    void on_energy_busy(bool busy) override {
+        if (flips != nullptr) flips->emplace_back(sim->now(), id, busy);
+    }
     void on_preamble(const frame&, double, sim::time_us) override {}
-    void on_frame_received(const frame&, double, double, bool) override {}
+    void on_frame_received(const frame& f, double, double min_sinr_db,
+                           bool) override {
+        if (on_rx) on_rx(f, min_sinr_db);
+    }
     void on_tx_complete(const frame&) override { on_end(); }
 };
 
@@ -371,8 +389,8 @@ void check_power_against_oracle(double floor_dbm, std::uint64_t seed) {
     radio_config radio;
     radio.audibility_floor_dbm = floor_dbm;
     medium air(sim, radio, errors, seed);
-    std::vector<tx_end_probe> probes(nodes);
-    for (auto& p : probes) air.add_node(p);
+    std::vector<oracle_probe> probes(nodes);
+    for (auto& p : probes) air.add_node(p, radio.cs_threshold_dbm);
 
     stats::rng gen(seed);
     std::vector<std::vector<double>> rx_mw(nodes, std::vector<double>(nodes));
@@ -471,8 +489,8 @@ TEST(MediumCulling, RxPowerExactlyAtCsThresholdCountsAsBusyStart) {
         sim::simulator sim;
         medium air(sim, radio, errors, 3);
         recorder a, b;
-        const auto na = air.add_node(a);
-        const auto nb = air.add_node(b);
+        const auto na = air.add_node(a, radio.cs_threshold_dbm);
+        const auto nb = air.add_node(b, radio.cs_threshold_dbm);
         air.set_link_gain_db(na, nb, rx_dbm - radio.tx_power_dbm);
         sim.schedule_in(0.0, [&] {
             air.start_transmission(na, data_frame(na, 6.0), true);
@@ -488,6 +506,348 @@ TEST(MediumCulling, RxPowerExactlyAtCsThresholdCountsAsBusyStart) {
         << "the boundary gain must reproduce the threshold exactly";
     EXPECT_EQ(busy_starts(radio.cs_threshold_dbm), 1u);
     EXPECT_EQ(busy_starts(radio.cs_threshold_dbm - 1e-6), 0u);
+}
+
+/// b = dbm_boundary_mw(t) must be the smallest double whose dBm reaches t.
+void expect_exact_boundary(double threshold_dbm) {
+    const double b = propagation::dbm_boundary_mw(threshold_dbm);
+    ASSERT_GT(b, 0.0) << threshold_dbm;
+    EXPECT_GE(propagation::mw_to_dbm(b), threshold_dbm) << threshold_dbm;
+    EXPECT_LT(propagation::mw_to_dbm(std::nextafter(b, 0.0)), threshold_dbm)
+        << threshold_dbm;
+}
+
+TEST(MediumCca, ThresholdBoundaryMeetsItsDefinition) {
+    const radio_config radio;
+    expect_exact_boundary(radio.noise_floor_dbm);
+    // Each node's sensed power starts at the noise floor in mW. It
+    // round-trips, so a threshold set before the first CCA callback
+    // decides exactly like a comparison against noise_floor_dbm.
+    EXPECT_EQ(propagation::mw_to_dbm(
+                  propagation::dbm_to_mw(radio.noise_floor_dbm)),
+              radio.noise_floor_dbm);
+    for (int t = -120; t <= -20; ++t) expect_exact_boundary(t);
+    stats::rng gen(17);
+    for (int k = 0; k < 10'000; ++k) {
+        expect_exact_boundary(gen.uniform(-150.0, 30.0));
+    }
+}
+
+TEST(MediumCca, Log10IsMonotoneOverNeighbouringDoubles) {
+    // The mW compare and the worst-interference SINR equal their dB
+    // forms only because mw_to_dbm never decreases from one double to
+    // the next. Walk runs of neighbouring doubles at log-uniform points
+    // from the medium's 1e-300 mW interference floor up to 1 W.
+    stats::rng gen(23);
+    const double up = std::numeric_limits<double>::infinity();
+    for (int k = 0; k < 20'000; ++k) {
+        double x = k == 0 ? 1e-300 : std::pow(10.0, gen.uniform(-300.0, 3.0));
+        double prev = propagation::mw_to_dbm(x);
+        for (int step = 0; step < 64; ++step) {
+            x = std::nextafter(x, up);
+            const double cur = propagation::mw_to_dbm(x);
+            ASSERT_LE(prev, cur) << "mw_to_dbm decreases after " << x;
+            prev = cur;
+        }
+    }
+}
+
+TEST(MediumCca, SensedPowerExactlyAtThresholdIsBusy) {
+    // Energy CCA's rule is power >= threshold. Pick a link gain whose
+    // sensed power P (noise plus one frame) is itself a boundary double,
+    // i.e. the next double down has a lower dBm. A threshold of exactly
+    // mw_to_dbm(P) must read busy; the next threshold up must not.
+    const capacity::logistic_per_model errors;
+    const radio_config radio;
+    const double noise_mw = propagation::dbm_to_mw(radio.noise_floor_dbm);
+    double gain_db = -95.0;
+    double sensed_mw = 0.0;
+    for (int k = 0; k < 10'000; ++k, gain_db += 1e-9) {
+        sensed_mw =
+            noise_mw + propagation::dbm_to_mw(radio.tx_power_dbm + gain_db);
+        if (propagation::mw_to_dbm(std::nextafter(sensed_mw, 0.0)) <
+            propagation::mw_to_dbm(sensed_mw)) {
+            break;
+        }
+    }
+    const double at_dbm = propagation::mw_to_dbm(sensed_mw);
+    ASSERT_EQ(propagation::dbm_boundary_mw(at_dbm), sensed_mw);
+    const auto flips = [&](double threshold_dbm) {
+        sim::simulator sim;
+        medium air(sim, radio, errors, 3);
+        recorder a, b;
+        const auto na = air.add_node(a, radio.cs_threshold_dbm);
+        const auto nb = air.add_node(b, threshold_dbm);
+        air.set_link_gain_db(na, nb, gain_db);
+        sim.schedule_in(0.0, [&] {
+            air.start_transmission(na, data_frame(na, 6.0), true);
+        });
+        sim.run_until(100.0);
+        EXPECT_EQ(air.external_power_dbm(nb), at_dbm);
+        return b.energy_flips;
+    };
+    EXPECT_EQ(flips(at_dbm), 1);
+    EXPECT_EQ(flips(std::nextafter(at_dbm,
+                                   std::numeric_limits<double>::infinity())),
+              0);
+}
+
+TEST(MediumCca, NonFiniteThresholdsAreRejected) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    sim::simulator sim;
+    const capacity::logistic_per_model errors;
+    const radio_config radio;
+    medium air(sim, radio, errors, 1);
+    recorder a;
+    for (const double bad : {nan, inf, -inf}) {
+        EXPECT_THROW(air.add_node(a, bad), std::invalid_argument) << bad;
+        EXPECT_THROW(propagation::dbm_boundary_mw(bad), std::invalid_argument)
+            << bad;
+    }
+    EXPECT_EQ(air.node_count(), 0u) << "a rejected node must not register";
+    const auto na = air.add_node(a, radio.cs_threshold_dbm);
+    for (const double bad : {nan, inf, -inf}) {
+        EXPECT_THROW(air.set_cs_threshold_dbm(na, bad), std::invalid_argument)
+            << bad;
+    }
+    EXPECT_THROW(air.set_cs_threshold_dbm(na + 1, -80.0),
+                 std::invalid_argument);
+    EXPECT_THROW(air.external_power_integral_mw_us(na + 1),
+                 std::invalid_argument);
+
+    // Through the DCF node: a rejected override leaves the node as it was.
+    network net(radio, 1);
+    const auto s = net.add_node(mac_config{});
+    for (const double bad : {nan, inf, -inf}) {
+        EXPECT_THROW(net.node(s).set_cs_threshold_dbm(bad),
+                     std::invalid_argument)
+            << bad;
+        EXPECT_DOUBLE_EQ(net.node(s).cs_threshold_dbm(),
+                         radio.cs_threshold_dbm);
+    }
+    mac_config nan_offset;
+    nan_offset.cs_threshold_offset_db = nan;
+    EXPECT_THROW(net.add_node(nan_offset), std::invalid_argument);
+}
+
+TEST(MediumCca, SensedPowerIntegralIsReportedOnlyForAdaptiveNodes) {
+    radio_config radio;
+    network net(radio, 5);
+    mac_config adaptive;
+    adaptive.adapt.policy = cs_adapt_policy::target_busy;
+    const auto s = net.add_node(mac_config{});
+    const auto r = net.add_node(adaptive);
+    net.set_link_gain_db(s, r, -60.0);
+    net.node(s).set_traffic(traffic_mode::broadcast, broadcast_id,
+                            rate_by_mbps(6.0), 1400);
+    net.run(1e5);
+    EXPECT_EQ(net.node(s).external_power_integral_mw_us(), 0.0);
+    // The receiver sensed the noise floor plus the sender's frames.
+    const double noise_only =
+        propagation::dbm_to_mw(radio.noise_floor_dbm) * net.sim().now();
+    EXPECT_GT(net.node(r).external_power_integral_mw_us(), noise_only);
+    EXPECT_EQ(net.node(r).external_power_integral_mw_us(),
+              net.air().external_power_integral_mw_us(r));
+}
+
+/// Drives random overlapping broadcasts and threshold steps on N = 20
+/// nodes with random gains and per-node thresholds. A test-side oracle
+/// re-decides energy CCA in dBm one CCA delay after every start and end,
+/// exactly where the medium senses: it reads external_power_dbm at every
+/// node the medium visits, records each change of `power >= threshold`,
+/// and integrates the sensed power. The medium's on_energy_busy calls
+/// and counters must match it.
+void check_cca_against_oracle(double floor_dbm, std::uint64_t seed) {
+    constexpr node_id nodes = 20;
+    sim::simulator sim;
+    const capacity::logistic_per_model errors;
+    radio_config radio;
+    radio.audibility_floor_dbm = floor_dbm;
+    medium air(sim, radio, errors, seed);
+    stats::rng gen(seed);
+
+    std::vector<std::tuple<sim::time_us, node_id, bool>> got, want;
+    std::vector<oracle_probe> probes(nodes);
+    std::vector<double> threshold_dbm(nodes);
+    for (node_id n = 0; n < nodes; ++n) {
+        probes[n].id = n;
+        probes[n].sim = &sim;
+        probes[n].flips = &got;
+        threshold_dbm[n] = gen.uniform(-100.0, -60.0);
+        air.add_node(probes[n], threshold_dbm[n]);
+    }
+    std::vector<std::vector<bool>> audible(nodes, std::vector<bool>(nodes));
+    for (node_id a = 0; a < nodes; ++a) {
+        for (node_id b = a + 1; b < nodes; ++b) {
+            const double gain_db = gen.uniform(-150.0, -60.0);
+            air.set_link_gain_db(a, b, gain_db);
+            audible[a][b] = audible[b][a] =
+                radio.tx_power_dbm + gain_db >= radio.audibility_floor_dbm;
+        }
+    }
+
+    std::vector<double> last_dbm(nodes, radio.noise_floor_dbm);
+    std::vector<bool> busy(nodes, false);
+    std::vector<double> integral(nodes, 0.0);
+    std::vector<sim::time_us> mark(nodes, 0.0);
+    std::uint64_t visits = 0;
+    const auto decide = [&](node_id n) {
+        const bool now_busy = last_dbm[n] >= threshold_dbm[n];
+        if (now_busy != busy[n]) {
+            busy[n] = now_busy;
+            want.emplace_back(sim.now(), n, now_busy);
+        }
+    };
+    const auto sense = [&](node_id src) {
+        for (node_id n = 0; n < nodes; ++n) {
+            if (n == src || !audible[src][n]) continue;
+            ++visits;
+            integral[n] +=
+                propagation::dbm_to_mw(last_dbm[n]) * (sim.now() - mark[n]);
+            mark[n] = sim.now();
+            last_dbm[n] = air.external_power_dbm(n);
+            decide(n);
+        }
+    };
+    const auto sense_after_cca = [&](node_id src) {
+        sim.schedule_in(radio.cca_delay_us, [&sense, src] { sense(src); });
+    };
+    for (node_id n = 0; n < nodes; ++n) {
+        probes[n].on_end = [&, n] { sense_after_cca(n); };
+    }
+    for (int k = 0; k < 300; ++k) {
+        const double at = gen.uniform(0.0, 20'000.0);
+        const auto src = static_cast<node_id>(gen.uniform_int(nodes));
+        const int bytes = 100 + static_cast<int>(gen.uniform_int(1400));
+        sim.schedule_at(at, [&, src, bytes] {
+            if (air.transmitting(src)) return;
+            air.start_transmission(src, data_frame(src, 6.0, bytes), true);
+            sense_after_cca(src);
+        });
+    }
+    // Threshold steps re-decide against the last sensed power at once.
+    for (int k = 0; k < 100; ++k) {
+        const double at = gen.uniform(0.0, 20'000.0);
+        const auto n = static_cast<node_id>(gen.uniform_int(nodes));
+        const double t = gen.uniform(-100.0, -60.0);
+        sim.schedule_at(at, [&, n, t] {
+            air.set_cs_threshold_dbm(n, t);
+            threshold_dbm[n] = t;
+            decide(n);
+        });
+    }
+    sim.run_until(40'000.0);
+
+    EXPECT_GT(want.size(), 100u) << "too few CCA flips to be a test";
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(air.counters().cca_flips, got.size());
+    EXPECT_EQ(air.counters().cca_visits, visits);
+    for (node_id n = 0; n < nodes; ++n) {
+        const double oracle =
+            integral[n] +
+            propagation::dbm_to_mw(last_dbm[n]) * (sim.now() - mark[n]);
+        EXPECT_NEAR(air.external_power_integral_mw_us(n), oracle,
+                    1e-12 * oracle)
+            << "node " << n;
+    }
+}
+
+TEST(MediumCca, EnergyBusyCallbacksMatchDbmOracleFloorOff) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        check_cca_against_oracle(audibility_floor_disabled_dbm, seed);
+    }
+}
+
+TEST(MediumCca, EnergyBusyCallbacksMatchDbmOracleFloorOn) {
+    const double floor_dbm = radio_config{}.noise_floor_dbm - 20.0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        check_cca_against_oracle(floor_dbm, seed);
+    }
+}
+
+TEST(MediumCca, FrameSinrEqualsMinimumOfDbSinrs) {
+    // After every transmission start, a test-side oracle computes the dB
+    // SINR of every on-air frame at every node from a brute-force power
+    // sum and keeps the minimum per (receiver, frame). The medium tracks
+    // the worst interference in mW instead; the SINR it reports when a
+    // frame settles must be that minimum.
+    constexpr node_id nodes = 20;
+    for (const std::uint64_t seed : {4u, 5u, 6u}) {
+        SCOPED_TRACE(seed);
+        sim::simulator sim;
+        const capacity::logistic_per_model errors;
+        const radio_config radio;
+        medium air(sim, radio, errors, seed);
+        stats::rng gen(seed);
+        std::vector<oracle_probe> probes(nodes);
+        for (auto& p : probes) air.add_node(p, radio.cs_threshold_dbm);
+        std::vector<std::vector<double>> rx_mw(nodes,
+                                               std::vector<double>(nodes));
+        for (node_id a = 0; a < nodes; ++a) {
+            for (node_id b = a + 1; b < nodes; ++b) {
+                const double gain_db = gen.uniform(-110.0, -60.0);
+                air.set_link_gain_db(a, b, gain_db);
+                rx_mw[a][b] = rx_mw[b][a] =
+                    propagation::dbm_to_mw(radio.tx_power_dbm + gain_db);
+            }
+        }
+        const double noise_mw = propagation::dbm_to_mw(radio.noise_floor_dbm);
+        std::vector<std::uint64_t> on_air(nodes, 0);  ///< sequence, 0 = idle
+        std::map<std::pair<node_id, std::uint64_t>, double> min_sinr_db;
+        int settled = 0;
+        for (node_id n = 0; n < nodes; ++n) {
+            probes[n].on_end = [&, n] { on_air[n] = 0; };
+            probes[n].on_rx = [&, n](const frame& f, double sinr_db) {
+                const auto it = min_sinr_db.find({n, f.sequence});
+                ASSERT_NE(it, min_sinr_db.end());
+                EXPECT_NEAR(sinr_db, it->second, 1e-9)
+                    << "node " << n << " frame " << f.sequence;
+                ++settled;
+            };
+        }
+        const auto update_oracle = [&] {
+            for (node_id n = 0; n < nodes; ++n) {
+                double ext_mw = noise_mw;
+                for (node_id s = 0; s < nodes; ++s) {
+                    if (s != n && on_air[s] != 0) ext_mw += rx_mw[s][n];
+                }
+                for (node_id s = 0; s < nodes; ++s) {
+                    if (s == n || on_air[s] == 0) continue;
+                    const double signal = rx_mw[s][n];
+                    const double sinr =
+                        propagation::mw_to_dbm(signal) -
+                        propagation::mw_to_dbm(
+                            std::max(ext_mw - signal, 1e-300));
+                    const auto key = std::make_pair(n, on_air[s]);
+                    const auto it = min_sinr_db.find(key);
+                    if (it == min_sinr_db.end()) {
+                        min_sinr_db.emplace(key, sinr);
+                    } else {
+                        it->second = std::min(it->second, sinr);
+                    }
+                }
+            }
+        };
+        std::uint64_t sequence = 0;
+        for (int k = 0; k < 600; ++k) {
+            const double at = gen.uniform(0.0, 100'000.0);
+            const auto src = static_cast<node_id>(gen.uniform_int(nodes));
+            const int bytes = 100 + static_cast<int>(gen.uniform_int(1400));
+            sim.schedule_at(at, [&, src, bytes] {
+                if (air.transmitting(src)) return;
+                frame f = data_frame(src, 6.0, bytes);
+                f.sequence = ++sequence;
+                air.start_transmission(src, f, true);
+                on_air[src] = f.sequence;
+                update_oracle();
+            });
+        }
+        sim.run_until(120'000.0);
+        EXPECT_GT(settled, 100) << "too few locked receptions to be a test";
+    }
 }
 
 TEST(MediumCulling, DisabledFloorReturnsAllPairs) {
