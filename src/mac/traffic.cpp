@@ -1,5 +1,6 @@
 #include "src/mac/traffic.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace csense::mac {
@@ -79,10 +80,17 @@ private:
     double on_left_us_ = 0.0;  ///< remaining burst budget; starts off
 };
 
+/// False for zero, negatives, NaN and infinities. An infinite rate
+/// draws 0 us interarrivals (the run livelocks at one instant) and an
+/// infinite on/off mean turns the duty cycle into NaN.
+bool positive_finite(double value) noexcept {
+    return value > 0.0 && std::isfinite(value);
+}
+
 double checked_rate_per_us(const traffic_config& config) {
-    if (!(config.offered_load_pps > 0.0)) {
+    if (!positive_finite(config.offered_load_pps)) {
         throw std::invalid_argument(
-            "make_traffic_source: offered_load_pps must be > 0");
+            "make_traffic_source: offered_load_pps must be finite and > 0");
     }
     return config.offered_load_pps / 1e6;
 }
@@ -102,9 +110,10 @@ std::unique_ptr<traffic_source> make_traffic_source(
                                                  checked_rate_per_us(config));
         case traffic_model::on_off: {
             const double mean_rate = checked_rate_per_us(config);
-            if (!(config.on_mean_us > 0.0) || !(config.off_mean_us > 0.0)) {
+            if (!positive_finite(config.on_mean_us) ||
+                !positive_finite(config.off_mean_us)) {
                 throw std::invalid_argument(
-                    "make_traffic_source: on/off means must be > 0");
+                    "make_traffic_source: on/off means must be finite and > 0");
             }
             const double duty =
                 config.on_mean_us / (config.on_mean_us + config.off_mean_us);

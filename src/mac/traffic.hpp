@@ -36,7 +36,8 @@ public:
 };
 
 /// Build the source described by `config`. Throws std::invalid_argument
-/// on non-positive rates/durations for the models that need them.
+/// on non-positive or non-finite rates/durations for the models that
+/// need them.
 std::unique_ptr<traffic_source> make_traffic_source(
     const traffic_config& config);
 

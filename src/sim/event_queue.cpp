@@ -14,37 +14,8 @@ constexpr std::uint64_t kUnboundedTick = ~std::uint64_t{0};
 
 }  // namespace
 
-const event_queue_config& default_queue_config() noexcept {
-    static const event_queue_config config;
-    return config;
-}
-
-event_queue::event_queue(const event_queue_config& config) {
-    reconfigure(config);
-}
-
-bool event_queue::reconfigure(const event_queue_config& config) {
-    if (pending_ != 0 || heap_size() != 0) return false;
-    backend_ = config.backend;
-    bucket_width_ = config.bucket_width_us;
-    current_tick_ = 0;
-    wheel_hint_ = 0;
-    if (backend_ == queue_backend::calendar) {
-        if (!(bucket_width_ > 0.0)) bucket_width_ = 9.0;
-        inv_bucket_width_ = 1.0 / bucket_width_;
-        std::uint32_t count = std::max<std::uint32_t>(config.bucket_count, 64);
-        count = std::bit_ceil(count);
-        bucket_mask_ = count - 1;
-        bucket_head_.assign(count, kNil);
-        occupied_.assign(count / 64, 0);
-    } else {
-        inv_bucket_width_ = 0.0;
-        bucket_mask_ = 0;
-        bucket_head_.clear();
-        occupied_.clear();
-    }
-    return true;
-}
+event_queue::event_queue()
+    : bucket_head_(kBucketCount, kNil), occupied_(kBucketCount / 64, 0) {}
 
 std::uint64_t event_queue::tick_of(time_us at) const noexcept {
     if (!(at > 0.0)) return 0;  // negative (and NaN) times order via near_
@@ -54,16 +25,16 @@ std::uint64_t event_queue::tick_of(time_us at) const noexcept {
     // harmless, because pop order only needs tick_of to be monotone in
     // `at` (any monotone bucketing is; the near heap re-sorts by exact
     // time) and deterministic, which a fixed reciprocal is.
-    const double quotient = at * inv_bucket_width_;
+    const double quotient = at * kInvBucketWidth;
     // Clamp before the double -> integer cast: 4e18 < 2^62, so the
     // clamped tick still compares correctly against every real tick and
-    // current_tick_ + bucket_count cannot overflow.
+    // current_tick_ + kBucketCount cannot overflow.
     constexpr double kMaxTick = 4.0e18;
     if (quotient >= kMaxTick) return static_cast<std::uint64_t>(kMaxTick);
     return static_cast<std::uint64_t>(quotient);
 }
 
-void event_queue::place(entry e) {
+void event_queue::place(const entry& e) {
     // Precondition: e is live (its generation matches its slot), so
     // updating the slot's location tag here is always correct.
     const std::uint64_t tick = tick_of(e.at);
@@ -73,8 +44,8 @@ void event_queue::place(entry e) {
         slots_[e.slot].location = entry_loc::near_heap;
         return;
     }
-    if (tick - current_tick_ <= bucket_mask_) {
-        const auto b = static_cast<std::uint32_t>(tick & bucket_mask_);
+    if (tick - current_tick_ <= kBucketMask) {
+        const auto b = static_cast<std::uint32_t>(tick & kBucketMask);
         const std::uint32_t head = bucket_head_[b];
         wheel_node_[e.slot] = wheel_node{e.at, e.sequence, head, kNil};
         if (head != kNil) wheel_node_[head].prev = e.slot;
@@ -101,17 +72,9 @@ event_id event_queue::schedule(time_us at, inline_action action) {
     }
     slots_[index].action = std::move(action);
     const std::uint32_t generation = slots_[index].generation;
-    const entry e{at, next_sequence_++, index, generation};
-    if (backend_ == queue_backend::heap) {
-        heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    } else {
-        // Per-slot wheel storage grows only at the slot high-water mark.
-        if (wheel_node_.size() < slots_.size()) {
-            wheel_node_.resize(slots_.size());
-        }
-        place(e);
-    }
+    // Per-slot wheel storage grows only at the slot high-water mark.
+    if (wheel_node_.size() < slots_.size()) wheel_node_.resize(slots_.size());
+    place(entry{at, next_sequence_++, index, generation});
     ++pending_;
     return make_id(index, generation);
 }
@@ -130,8 +93,7 @@ bool event_queue::cancel(event_id id) {
         !slots_[index].action) {
         return false;
     }
-    if (backend_ == queue_backend::calendar &&
-        slots_[index].location == entry_loc::wheel) {
+    if (slots_[index].location == entry_loc::wheel) {
         // In-wheel entries unlink eagerly: O(bucket occupancy), which at
         // slot granularity is a handful of entries, and the wheel stays
         // free of stale entries (its slot storage is reused on the next
@@ -157,7 +119,7 @@ void event_queue::unlink_wheel(std::uint32_t index) {
         wheel_node_[prev].next = next;
     } else {
         const std::uint64_t tick = tick_of(node.at);
-        const auto b = static_cast<std::uint32_t>(tick & bucket_mask_);
+        const auto b = static_cast<std::uint32_t>(tick & kBucketMask);
         bucket_head_[b] = next;
         if (next == kNil) {
             occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
@@ -172,8 +134,8 @@ bool event_queue::advance_wheel(std::uint64_t limit_tick) {
     // Find the first occupied bucket in circular order after the
     // current one (which is empty by the wheel invariant), 64 buckets
     // per bitmap word.
-    const auto cur_pos = static_cast<std::uint32_t>(current_tick_ & bucket_mask_);
-    const std::uint32_t start = (cur_pos + 1) & bucket_mask_;
+    const auto cur_pos = static_cast<std::uint32_t>(current_tick_ & kBucketMask);
+    const std::uint32_t start = (cur_pos + 1) & kBucketMask;
     const auto words = static_cast<std::uint32_t>(occupied_.size());
     std::uint32_t found;
     const std::uint32_t start_word = start >> 6;
@@ -194,7 +156,7 @@ bool event_queue::advance_wheel(std::uint64_t limit_tick) {
     }
     // All entries in the found bucket share one tick; recover it from
     // the circular distance.
-    const std::uint32_t delta = (found - cur_pos) & bucket_mask_;
+    const std::uint32_t delta = (found - cur_pos) & kBucketMask;
     if (current_tick_ + delta > limit_tick) {
         // The scan found the exact earliest occupied tick; remember it
         // so repeated bounded pops before that event skip the scan.
@@ -245,7 +207,7 @@ void event_queue::settle(std::uint64_t limit_tick) {
         // buckets > any wheel tick), so migrating before the wheel
         // drains preserves pop order; skipping this would strand an
         // overflow event once current_tick_ moves past it.
-        const std::uint64_t horizon = current_tick_ + bucket_mask_ + 1;
+        const std::uint64_t horizon = current_tick_ + kBucketCount;
         while (!far_.empty()) {
             if (stale(far_.front())) {
                 std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
@@ -278,43 +240,22 @@ void event_queue::settle(std::uint64_t limit_tick) {
     }
 }
 
-void event_queue::drop_cancelled() {
-    while (!heap_.empty() && stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-        --stale_count_;
-    }
-}
-
 void event_queue::maybe_compact() {
     // Compact only when stale entries dominate: O(n) rebuild amortizes to
     // O(1) per cancellation, and the threshold keeps small queues as-is.
     if (stale_count_ < 64 || stale_count_ * 2 < heap_size()) return;
+    // The wheel never holds stale entries (cancel unlinks eagerly), so
+    // only the two heaps need sweeping.
     const auto is_stale = [this](const entry& e) { return stale(e); };
-    if (backend_ == queue_backend::heap) {
-        std::erase_if(heap_, is_stale);
-        std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    } else {
-        // The wheel never holds stale entries (cancel unlinks eagerly),
-        // so only the two heaps need sweeping.
-        std::erase_if(near_, is_stale);
-        std::make_heap(near_.begin(), near_.end(), std::greater<>{});
-        std::erase_if(far_, is_stale);
-        std::make_heap(far_.begin(), far_.end(), std::greater<>{});
-    }
+    std::erase_if(near_, is_stale);
+    std::make_heap(near_.begin(), near_.end(), std::greater<>{});
+    std::erase_if(far_, is_stale);
+    std::make_heap(far_.begin(), far_.end(), std::greater<>{});
     stale_count_ = 0;
 }
 
 time_us event_queue::next_time() const {
-    auto* self = const_cast<event_queue*>(this);
-    if (backend_ == queue_backend::heap) {
-        self->drop_cancelled();
-        if (heap_.empty()) {
-            throw std::logic_error("event_queue::next_time: empty");
-        }
-        return heap_.front().at;
-    }
-    self->settle(kUnboundedTick);
+    const_cast<event_queue*>(this)->settle(kUnboundedTick);
     if (near_.empty()) throw std::logic_error("event_queue::next_time: empty");
     return near_.front().at;
 }
@@ -333,18 +274,6 @@ std::pair<time_us, inline_action> event_queue::pop_next() {
 
 std::optional<std::pair<time_us, inline_action>> event_queue::pop_next_at_most(
     time_us until) {
-    if (backend_ == queue_backend::heap) {
-        drop_cancelled();
-        if (heap_.empty() || heap_.front().at > until) return std::nullopt;
-        const entry top = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-        std::optional<std::pair<time_us, inline_action>> out;
-        out.emplace(top.at, std::move(slots_[top.slot].action));
-        release_slot(top.slot);
-        --pending_;
-        return out;
-    }
     settle(tick_of(until));
     if (near_.empty() || near_.front().at > until) return std::nullopt;
     const entry top = near_.front();

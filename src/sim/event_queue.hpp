@@ -7,28 +7,22 @@
 // the number ever scheduled: executed and cancelled events return their
 // slot to a free list, and each slot carries a generation counter so a
 // stale id can never cancel the slot's next occupant. Cancelled entries
-// left inside the queue are dropped lazily when they surface, and the
-// whole structure is compacted when stale entries outnumber live ones
-// (the MAC's cancel-heavy timer pattern would otherwise accumulate
-// them).
+// left inside the heaps are dropped lazily when they surface, and both
+// heaps are compacted when stale entries outnumber live ones (the MAC's
+// cancel-heavy timer pattern would otherwise accumulate them).
 //
-// Two backends share this contract and produce identical pop order:
-//
-//  - calendar: a timer wheel bucketed at MAC slot granularity with a
-//    near-past heap and a beyond-horizon overflow heap. Arming and
-//    cancelling are O(1) instead of the binary heap's O(log n) sift /
-//    lazy-cancel churn, which is the win when thousands of nodes hold
-//    standing backoff timers (the camp05 dense regime). Wheel buckets
-//    are intrusive doubly-linked lists threaded through a dense
-//    per-slot side array (a slot holds at most one pending event), so
-//    the wheel performs zero heap allocations once the slot table
-//    reaches its high-water mark and cancelling an in-wheel event
-//    unlinks it eagerly in O(1) instead of leaving a stale entry
-//    behind.
-//  - heap: the original single binary heap, kept as the reference
-//    implementation for differential tests and because it is the
-//    faster structure when only a handful of events are pending (small
-//    simulations; mac::network picks per scale at first run).
+// The queue is a calendar: a timer wheel bucketed at MAC slot
+// granularity with a near-past heap and a beyond-horizon overflow heap.
+// Arming and cancelling are O(1) instead of a binary heap's O(log n)
+// sift / lazy-cancel churn, which is the win when thousands of nodes
+// hold standing backoff timers (the camp05 dense regime). A plain heap
+// is still somewhat faster for a lone pair, where the scheduler is most
+// of the work; from ten pairs up the difference is lost in the MAC and
+// medium cost, so one structure serves every scale. Wheel buckets are intrusive doubly-linked lists threaded
+// through a dense per-slot side array (a slot holds at most one pending
+// event), so the wheel performs zero heap allocations once the slot
+// table reaches its high-water mark and cancelling an in-wheel event
+// unlinks it eagerly in O(1) instead of leaving a stale entry behind.
 //
 // Equivalence argument (why the calendar pops in exactly (time,
 // sequence) order): tick(at) = floor(at / width) is monotone in `at`,
@@ -40,8 +34,9 @@
 // wheel -> near as the current tick advances, so the near heap's top is
 // always the global minimum. Entries with equal times share a tick and
 // therefore meet in the near heap, where insertion order breaks the
-// tie. The randomized differential test in
-// tests/test_event_queue_backends.cpp checks this end to end.
+// tie. The randomized EventQueueDifferential tests check this end to
+// end against a plain (time, sequence) binary heap kept in the test
+// suite as the reference.
 #pragma once
 
 #include <cstdint>
@@ -61,42 +56,11 @@ using time_us = double;
 /// bits, the slot's generation at schedule time in the high 32 bits.
 using event_id = std::uint64_t;
 
-/// Scheduler backend selection. Both orders pops identically; the
-/// calendar wheel is the fast default, the binary heap the reference.
-enum class queue_backend { calendar, heap };
-
-/// Tuning knobs for the calendar backend (ignored by the heap).
-struct event_queue_config {
-    queue_backend backend = queue_backend::calendar;
-    /// Wheel bucket width. Defaults to the 802.11a/g slot time: MAC
-    /// timers land on slot boundaries, so one bucket rarely holds more
-    /// than a handful of events.
-    time_us bucket_width_us = 9.0;
-    /// Wheel size (power of two). 4096 slots x 9 us ~ 37 ms of horizon
-    /// covers every MAC timer; only long timeouts and idle-source
-    /// arrivals overflow.
-    std::uint32_t bucket_count = 4096;
-};
-
-/// The process-default queue configuration: calendar backend. Both
-/// backends produce byte-identical simulations; scale-aware callers
-/// (mac::network) pick one per queue through event_queue_config.
-const event_queue_config& default_queue_config() noexcept;
-
 /// Deterministically ordered event queue with slot-recycling storage
 /// for the scheduled actions.
 class event_queue {
 public:
-    event_queue() : event_queue(default_queue_config()) {}
-    explicit event_queue(const event_queue_config& config);
-
-    /// Switch backend/tuning before any event is scheduled (or after
-    /// every scheduled event has fired or been cancelled *and* been
-    /// swept out). Returns false - leaving the queue untouched - if
-    /// entries are still held anywhere. Lets owners that only learn
-    /// their scale after construction (a network learns its node count
-    /// as nodes are added) pick the backend at first run.
-    bool reconfigure(const event_queue_config& config);
+    event_queue();
 
     /// Schedule `action` at absolute time `at`; returns a cancellable id.
     event_id schedule(time_us at, inline_action action);
@@ -143,11 +107,8 @@ public:
     /// cancelled-but-not-yet dropped ones; compaction keeps this
     /// O(pending).
     std::size_t heap_size() const noexcept {
-        return near_.size() + wheel_count_ + far_.size() + heap_.size();
+        return near_.size() + wheel_count_ + far_.size();
     }
-
-    /// The backend this queue was constructed with.
-    queue_backend backend() const noexcept { return backend_; }
 
 private:
     struct entry {
@@ -174,10 +135,10 @@ private:
         /// stale. Wraps after 2^32 reuses of one slot, which a simulation
         /// would take centuries of virtual time to reach.
         std::uint32_t generation = 0;
-        entry_loc location = entry_loc::none;  ///< calendar backend only
+        entry_loc location = entry_loc::none;
     };
 
-    /// Wheel residency of one slot (calendar backend): the entry payload
+    /// Wheel residency of one slot: the entry payload
     /// minus what the slot table already holds (slot index is the array
     /// index, generation is current - in-wheel entries are never stale),
     /// plus doubly-linked intrusive bucket-list links so cancel unlinks
@@ -208,7 +169,10 @@ private:
     std::uint64_t tick_of(time_us at) const noexcept;
 
     /// Route a fresh entry to the near heap / wheel / overflow heap.
-    void place(entry e);
+    /// Takes `e` by reference: passing the 24-byte entry by value made
+    /// every arm measurably slower (about a third of the scheduler's
+    /// per-event cost on a two-node run).
+    void place(const entry& e);
 
     /// Return a slot to the free list and invalidate outstanding ids.
     void release_slot(std::uint32_t index);
@@ -236,26 +200,30 @@ private:
     /// Re-anchor the wheel at `tick` and re-place every overflow entry.
     void rebase(std::uint64_t tick);
 
-    /// Heap backend: pop stale entries off the heap top.
-    void drop_cancelled();
-
     /// Rebuild all structures without stale entries once they dominate.
     void maybe_compact();
 
-    queue_backend backend_ = queue_backend::calendar;
-    time_us bucket_width_ = 9.0;
-    time_us inv_bucket_width_ = 0.0;  ///< 1 / bucket_width_ (tick_of)
-    std::uint32_t bucket_mask_ = 0;  ///< bucket_count - 1 (power of two)
+    /// Wheel bucket width: the 802.11a/g slot time. MAC timers land on
+    /// slot boundaries, so one bucket rarely holds more than a handful
+    /// of events.
+    static constexpr time_us kBucketWidthUs = 9.0;
+    /// 1 / kBucketWidthUs, so tick_of multiplies instead of dividing.
+    static constexpr time_us kInvBucketWidth = 1.0 / kBucketWidthUs;
+    /// Wheel size (a power of two, a multiple of 64 for the occupancy
+    /// bitmap). 4096 buckets x 9 us ~ 37 ms of horizon covers every MAC
+    /// timer; only long timeouts and idle-source arrivals overflow.
+    static constexpr std::uint32_t kBucketCount = 4096;
+    static constexpr std::uint32_t kBucketMask = kBucketCount - 1;
+    static_assert((kBucketCount & kBucketMask) == 0 && kBucketCount % 64 == 0);
 
-    // --- calendar backend state ---
     static constexpr std::uint32_t kNil = 0xffffffffu;  ///< list sentinel
 
     /// Entries with tick <= current_tick_: a (time, sequence) min-heap.
     /// The pop path only ever pops from here.
     std::vector<entry> near_;
-    /// Wheel: bucket_head_[t & bucket_mask_] heads an intrusive list of
+    /// Wheel: bucket_head_[t & kBucketMask] heads an intrusive list of
     /// exactly the entries of one tick t in (current_tick_,
-    /// current_tick_ + bucket_count). List links and entry payloads live
+    /// current_tick_ + kBucketCount). List links and entry payloads live
     /// in wheel_node_, indexed by slot - a slot has at most one pending
     /// event, so this storage tracks the slot table's high-water mark
     /// and the wheel never allocates per insert.
@@ -263,7 +231,7 @@ private:
     std::vector<wheel_node> wheel_node_;  ///< indexed by slot
     /// One bit per bucket: non-empty. Scanned 64 buckets at a step.
     std::vector<std::uint64_t> occupied_;
-    /// Entries with tick >= current_tick_ + bucket_count, min-heap.
+    /// Entries with tick >= current_tick_ + kBucketCount, min-heap.
     std::vector<entry> far_;
     /// Reused by rebase() so re-anchoring allocates nothing in steady
     /// state.
@@ -276,9 +244,6 @@ private:
     /// every run_until() that ends between events.
     std::uint64_t wheel_hint_ = 0;
     std::size_t wheel_count_ = 0;
-
-    // --- heap backend state ---
-    std::vector<entry> heap_;  ///< std::push_heap/pop_heap, min at front
 
     std::vector<slot> slots_;
     std::vector<std::uint32_t> free_slots_;

@@ -17,12 +17,18 @@ constexpr std::uint64_t kCancelCheckMask = (1u << 16) - 1;
 }  // namespace
 
 event_id simulator::schedule_in(time_us delay, inline_action action) {
-    if (delay < 0.0) throw std::invalid_argument("schedule_in: negative delay");
+    // Negated comparisons so a NaN fails them too: a NaN time has no
+    // place in the (time, sequence) order the queue pops by.
+    if (!(delay >= 0.0)) {
+        throw std::invalid_argument("schedule_in: negative or NaN delay");
+    }
     return queue_.schedule(now_ + delay, std::move(action));
 }
 
 event_id simulator::schedule_at(time_us at, inline_action action) {
-    if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
+    if (!(at >= now_)) {
+        throw std::invalid_argument("schedule_at: time in the past or NaN");
+    }
     return queue_.schedule(at, std::move(action));
 }
 

@@ -12,25 +12,6 @@ class simulator {
 public:
     simulator() = default;
 
-    /// Construct with an explicit queue configuration (backend
-    /// selection / wheel tuning); both backends produce identical
-    /// event order.
-    explicit simulator(const event_queue_config& config) : queue_(config) {}
-
-    /// Re-select the queue backend before the first event is scheduled;
-    /// no-op (returns false) once events are in flight. Owners that
-    /// learn their scale late use this: a binary heap is near-optimal
-    /// for a handful of pending events, the calendar wheel wins once
-    /// thousands of timers stand concurrently.
-    bool reconfigure_queue(const event_queue_config& config) {
-        return queue_.reconfigure(config);
-    }
-
-    /// The queue backend in use (A/B introspection).
-    queue_backend queue_backend_kind() const noexcept {
-        return queue_.backend();
-    }
-
     /// Current simulation time (us).
     time_us now() const noexcept { return now_; }
 

@@ -1,11 +1,16 @@
-// Calendar-queue backend edge cases and the heap-vs-wheel differential
-// contract: both event_queue backends must produce exactly the same
-// (time, insertion-sequence) pop order for any schedule/cancel stream.
+// Calendar-queue edge cases and its differential contract: for any
+// schedule/cancel/pop stream, sim::event_queue must pop in exactly the
+// (time, insertion-sequence) order of a plain binary heap. The heap
+// lives here as the reference; production runs on the calendar only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.hpp"
@@ -16,13 +21,111 @@ namespace {
 
 using namespace csense;
 
-sim::event_queue_config heap_config() {
-    sim::event_queue_config config;
-    config.backend = sim::queue_backend::heap;
-    return config;
-}
+/// Reference scheduler: a (time, sequence) min-heap with slot-recycling
+/// storage and generation-checked cancel, mirroring event_queue's id
+/// layout (slot index low, generation high) so both hand out the same
+/// ids for the same stream. Cancelled entries stay in the heap and are
+/// skipped when they surface; the tests are too short to need
+/// compaction.
+class reference_queue {
+public:
+    using action = std::function<void()>;
 
-// Wheel horizon of the default configuration: 4096 buckets x 9 us.
+    sim::event_id schedule(sim::time_us at, action fn) {
+        std::uint32_t index;
+        if (!free_.empty()) {
+            index = free_.back();
+            free_.pop_back();
+        } else {
+            index = static_cast<std::uint32_t>(slots_.size());
+            slots_.emplace_back();
+        }
+        slots_[index].fn = std::move(fn);
+        const std::uint32_t generation = slots_[index].generation;
+        heap_.push_back(entry{at, next_sequence_++, index, generation});
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        ++pending_;
+        return (static_cast<sim::event_id>(generation) << 32) | index;
+    }
+
+    bool cancel(sim::event_id id) {
+        const auto index = static_cast<std::uint32_t>(id & 0xffffffffULL);
+        const auto generation = static_cast<std::uint32_t>(id >> 32);
+        if (index >= slots_.size() || slots_[index].generation != generation ||
+            !slots_[index].fn) {
+            return false;
+        }
+        release(index);
+        --pending_;
+        return true;
+    }
+
+    bool empty() const noexcept { return pending_ == 0; }
+    std::size_t size() const noexcept { return pending_; }
+
+    sim::time_us next_time() {
+        drop_stale();
+        return heap_.front().at;
+    }
+
+    std::optional<std::pair<sim::time_us, action>> pop_next_at_most(
+        sim::time_us until) {
+        drop_stale();
+        if (heap_.empty() || heap_.front().at > until) return std::nullopt;
+        const entry top = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        heap_.pop_back();
+        std::pair<sim::time_us, action> out{top.at,
+                                            std::move(slots_[top.slot].fn)};
+        release(top.slot);
+        --pending_;
+        return out;
+    }
+
+    std::pair<sim::time_us, action> pop_next() {
+        return *pop_next_at_most(std::numeric_limits<sim::time_us>::infinity());
+    }
+
+private:
+    struct entry {
+        sim::time_us at;
+        std::uint64_t sequence;
+        std::uint32_t slot;
+        std::uint32_t generation;
+
+        bool operator>(const entry& other) const noexcept {
+            if (at != other.at) return at > other.at;
+            return sequence > other.sequence;
+        }
+    };
+    struct slot {
+        action fn;
+        std::uint32_t generation = 0;
+    };
+
+    void release(std::uint32_t index) {
+        slots_[index].fn = nullptr;
+        ++slots_[index].generation;
+        free_.push_back(index);
+    }
+
+    void drop_stale() {
+        while (!heap_.empty() &&
+               slots_[heap_.front().slot].generation !=
+                   heap_.front().generation) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+            heap_.pop_back();
+        }
+    }
+
+    std::vector<entry> heap_;
+    std::vector<slot> slots_;
+    std::vector<std::uint32_t> free_;
+    std::uint64_t next_sequence_ = 0;
+    std::size_t pending_ = 0;
+};
+
+// Wheel horizon: 4096 buckets x 9 us.
 constexpr double kHorizonUs = 4096 * 9.0;
 
 TEST(CalendarQueue, FarFutureEventFiresOnTimeWhileWheelStaysBusy) {
@@ -97,9 +200,9 @@ TEST(CalendarQueue, CancelThenReuseKeepsStaleIdsInert) {
 }
 
 TEST(CalendarQueue, CancelHeavyOverflowStaysCompacted) {
-    // Same contract the heap backend pins in test_sim.cpp: a
-    // schedule/cancel storm entirely beyond the wheel horizon (the
-    // overflow heap) must not accumulate stale entries.
+    // The MAC's timer pattern - schedule far ahead, cancel, reschedule -
+    // entirely beyond the wheel horizon: cancelled overflow-heap entries
+    // never surface at the top, so only compaction bounds the heap.
     sim::event_queue q;
     int fired = 0;
     q.schedule(1e12, [&fired] { ++fired; });
@@ -130,19 +233,13 @@ TEST(CalendarQueue, NegativeAndHugeTimesStayOrdered) {
     EXPECT_EQ(fired, want);
 }
 
-TEST(CalendarQueue, BackendsReportConfiguredKind) {
-    sim::event_queue calendar;
-    sim::event_queue heap(heap_config());
-    EXPECT_EQ(calendar.backend(), sim::queue_backend::calendar);
-    EXPECT_EQ(heap.backend(), sim::queue_backend::heap);
-}
-
 // The differential fuzz: one deterministic stream of schedule / cancel /
-// bounded-pop operations applied to both backends must yield identical
-// ids, identical cancel outcomes, and an identical pop sequence.
+// bounded-pop operations applied to the calendar and the reference heap
+// must yield identical ids, identical cancel outcomes, and an identical
+// pop sequence.
 TEST(EventQueueDifferential, RandomStreamsPopIdentically) {
     sim::event_queue calendar;
-    sim::event_queue heap(heap_config());
+    reference_queue reference;
     stats::rng gen(20260808);
 
     struct popped {
@@ -151,8 +248,8 @@ TEST(EventQueueDifferential, RandomStreamsPopIdentically) {
         bool operator==(const popped&) const = default;
     };
     std::vector<popped> cal_pops;
-    std::vector<popped> heap_pops;
-    std::vector<std::pair<sim::event_id, sim::event_id>> live;
+    std::vector<popped> ref_pops;
+    std::vector<sim::event_id> live;
     double clock = 0.0;
     int next_tag = 0;
 
@@ -176,81 +273,122 @@ TEST(EventQueueDifferential, RandomStreamsPopIdentically) {
             const int tag = next_tag++;
             const auto cal_id = calendar.schedule(
                 at, [&cal_pops, at, tag] { cal_pops.push_back({at, tag}); });
-            const auto heap_id = heap.schedule(
-                at, [&heap_pops, at, tag] { heap_pops.push_back({at, tag}); });
-            live.emplace_back(cal_id, heap_id);
+            const auto ref_id = reference.schedule(
+                at, [&ref_pops, at, tag] { ref_pops.push_back({at, tag}); });
+            ASSERT_EQ(cal_id, ref_id);
+            live.push_back(cal_id);
         } else if (u < 0.7) {
             if (live.empty()) continue;
             const auto pick = gen.uniform_int(live.size());
-            const auto [cal_id, heap_id] = live[pick];
-            ASSERT_EQ(calendar.cancel(cal_id), heap.cancel(heap_id));
+            const auto id = live[pick];
+            ASSERT_EQ(calendar.cancel(id), reference.cancel(id));
             live[pick] = live.back();
             live.pop_back();
         } else if (u < 0.9) {
             auto cal_next = calendar.pop_next_at_most(clock + 500.0);
-            auto heap_next = heap.pop_next_at_most(clock + 500.0);
-            ASSERT_EQ(cal_next.has_value(), heap_next.has_value());
+            auto ref_next = reference.pop_next_at_most(clock + 500.0);
+            ASSERT_EQ(cal_next.has_value(), ref_next.has_value());
             if (cal_next) {
-                ASSERT_EQ(cal_next->first, heap_next->first);
+                ASSERT_EQ(cal_next->first, ref_next->first);
                 clock = std::max(clock, cal_next->first);
                 cal_next->second();
-                heap_next->second();
+                ref_next->second();
             }
         } else {
-            ASSERT_EQ(calendar.empty(), heap.empty());
+            ASSERT_EQ(calendar.empty(), reference.empty());
             if (!calendar.empty()) {
-                ASSERT_EQ(calendar.next_time(), heap.next_time());
+                ASSERT_EQ(calendar.next_time(), reference.next_time());
             }
         }
-        ASSERT_EQ(calendar.size(), heap.size());
+        ASSERT_EQ(calendar.size(), reference.size());
     }
 
     // Drain both queues completely.
-    while (!calendar.empty() || !heap.empty()) {
+    while (!calendar.empty() || !reference.empty()) {
         ASSERT_FALSE(calendar.empty());
-        ASSERT_FALSE(heap.empty());
+        ASSERT_FALSE(reference.empty());
         auto cal_next = calendar.pop_next();
-        auto heap_next = heap.pop_next();
-        ASSERT_EQ(cal_next.first, heap_next.first);
+        auto ref_next = reference.pop_next();
+        ASSERT_EQ(cal_next.first, ref_next.first);
         cal_next.second();
-        heap_next.second();
+        ref_next.second();
     }
-    ASSERT_EQ(cal_pops.size(), heap_pops.size());
-    EXPECT_EQ(cal_pops, heap_pops);
+    ASSERT_EQ(cal_pops.size(), ref_pops.size());
+    EXPECT_EQ(cal_pops, ref_pops);
+}
+
+/// The simulator's run_all loop over the reference queue: advance the
+/// clock to each popped event, then run it.
+class reference_simulator {
+public:
+    sim::time_us now() const noexcept { return now_; }
+    void schedule_in(sim::time_us delay, reference_queue::action fn) {
+        queue_.schedule(now_ + delay, std::move(fn));
+    }
+    void run_all() {
+        while (!queue_.empty()) {
+            auto [at, fn] = queue_.pop_next();
+            now_ = at;
+            fn();
+            ++executed_;
+        }
+    }
+    std::uint64_t events_executed() const noexcept { return executed_; }
+
+private:
+    reference_queue queue_;
+    sim::time_us now_ = 0.0;
+    std::uint64_t executed_ = 0;
+};
+
+struct ticker_run {
+    std::uint64_t executed = 0;
+    std::uint64_t sum = 0;
+    std::vector<int> order;  ///< ticker index of every event, in run order
+};
+
+/// 16 self-rescheduling tickers with random gaps, all drawing from one
+/// RNG stream in execution order, so any divergence in pop order also
+/// changes every later draw.
+template <class Kernel>
+ticker_run run_tickers() {
+    Kernel s;
+    stats::rng gen(77);
+    ticker_run out;
+    struct ticker {
+        Kernel* s;
+        stats::rng* gen;
+        ticker_run* out;
+        int index;
+        int remaining;
+        void operator()() const {
+            out->sum += static_cast<std::uint64_t>(s->now() * 16.0);
+            out->order.push_back(index);
+            if (remaining > 0) {
+                ticker next{s, gen, out, index, remaining - 1};
+                s->schedule_in(gen->uniform(0.0, 50.0), next);
+            }
+        }
+    };
+    for (int i = 0; i < 16; ++i) {
+        s.schedule_in(gen.uniform(0.0, 100.0), ticker{&s, &gen, &out, i, 400});
+    }
+    s.run_all();
+    out.executed = s.events_executed();
+    return out;
 }
 
 TEST(EventQueueDifferential, SimulatorRunsIdenticallyOnBothBackends) {
     // Kernel-level differential: the same self-scheduling workload under
-    // a simulator on each backend executes the same number of events and
-    // finishes at the same clock.
-    const auto run = [](const sim::event_queue_config& config) {
-        sim::simulator s(config);
-        stats::rng gen(77);
-        std::uint64_t sum = 0;
-        struct ticker {
-            sim::simulator* s;
-            stats::rng* gen;
-            std::uint64_t* sum;
-            int remaining;
-            void operator()() const {
-                *sum += static_cast<std::uint64_t>(s->now() * 16.0);
-                if (remaining > 0) {
-                    ticker next{s, gen, sum, remaining - 1};
-                    s->schedule_in(gen->uniform(0.0, 50.0), next);
-                }
-            }
-        };
-        for (int i = 0; i < 16; ++i) {
-            s.schedule_in(gen.uniform(0.0, 100.0), ticker{&s, &gen, &sum, 400});
-        }
-        s.run_all();
-        return std::pair{s.events_executed(), sum};
-    };
-    sim::event_queue_config calendar;
-    const auto a = run(calendar);
-    const auto b = run(heap_config());
-    EXPECT_EQ(a.first, b.first);
-    EXPECT_EQ(a.second, b.second);
+    // sim::simulator (calendar queue) and under the reference heap
+    // executes the same events in the same order and sums the same
+    // clock readings.
+    const ticker_run calendar = run_tickers<sim::simulator>();
+    const ticker_run reference = run_tickers<reference_simulator>();
+    EXPECT_EQ(calendar.executed, 16u * 401u);
+    EXPECT_EQ(calendar.executed, reference.executed);
+    EXPECT_EQ(calendar.sum, reference.sum);
+    EXPECT_EQ(calendar.order, reference.order);
 }
 
 }  // namespace

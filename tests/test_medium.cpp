@@ -47,9 +47,12 @@ frame data_frame(node_id src, double mbps, int bytes = 1400) {
 }
 
 TEST(Medium, LogCompactionFiresAndLaterFramesStillDeliver) {
-    // A single 54 Mb/s broadcast pair pushes well past 4096 frames in a
-    // few simulated seconds. The table must stay O(active) and delivery
-    // must keep working while slots are reused.
+    // Despite the name, nothing is compacted: the medium keeps frames
+    // on the air in a slot table, and an ended frame frees its slot for
+    // the next start. A single 54 Mb/s broadcast pair sends thousands
+    // of frames in a few simulated seconds: the table must stay at the
+    // one slot its lone sender needs, and delivery must keep working
+    // while that slot is reused.
     radio_config radio;
     network net(radio, 123);
     const auto s = net.add_node(mac_config{});

@@ -3,6 +3,7 @@
 // metrics the unsaturated campaigns report.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/capacity/rate_table.hpp"
@@ -49,6 +50,32 @@ TEST(TrafficSource, FactoryRejectsNonPositiveRates) {
     tc.model = traffic_model::on_off;
     tc.on_mean_us = 0.0;
     EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
+}
+
+TEST(TrafficSource, FactoryRejectsNonFiniteRatesAndMeans) {
+    // An infinite rate draws 0 us interarrivals, so the run would
+    // livelock at one instant; an infinite on/off mean makes the duty
+    // cycle (and with it the peak rate) NaN.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const auto model :
+         {traffic_model::poisson, traffic_model::cbr, traffic_model::on_off}) {
+        for (const double load : {inf, nan}) {
+            traffic_config tc = poisson_cfg(load);
+            tc.model = model;
+            EXPECT_THROW(make_traffic_source(tc), std::invalid_argument)
+                << "model " << static_cast<int>(model) << " load " << load;
+        }
+    }
+    for (const double mean : {inf, nan}) {
+        traffic_config tc = poisson_cfg(100.0);
+        tc.model = traffic_model::on_off;
+        tc.on_mean_us = mean;
+        EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
+        tc.on_mean_us = 10'000.0;
+        tc.off_mean_us = mean;
+        EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
+    }
 }
 
 TEST(TrafficSource, PoissonIsSeedDeterministicWithTheRightMean) {
