@@ -5,16 +5,6 @@
 
 namespace csense::capacity {
 
-std::string_view modulation_name(modulation m) noexcept {
-    switch (m) {
-        case modulation::bpsk: return "BPSK";
-        case modulation::qpsk: return "QPSK";
-        case modulation::qam16: return "16-QAM";
-        case modulation::qam64: return "64-QAM";
-    }
-    return "?";
-}
-
 const std::vector<phy_rate>& ofdm_rates() {
     // min_snr_db values follow typical 802.11a receiver sensitivity specs
     // (e.g. Atheros data sheets), expressed as SNR over a -95 dBm floor.

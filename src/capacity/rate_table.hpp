@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace csense::capacity {
@@ -25,9 +24,6 @@ struct phy_rate {
     int bits_per_symbol = 24;        ///< data bits per 4 us OFDM symbol
     double min_snr_db = 0.0;         ///< SNR at ~10% PER for 1000 B frames
 };
-
-/// Human-readable modulation name.
-std::string_view modulation_name(modulation m) noexcept;
 
 /// The eight 802.11a/g OFDM rates (6..54 Mb/s), ascending.
 const std::vector<phy_rate>& ofdm_rates();

@@ -25,11 +25,4 @@ double snr_for_bits_per_hz(double bits_per_hz) {
     return std::exp2(bits_per_hz) - 1.0;
 }
 
-double gapped_shannon_bits_per_hz(double snr_linear, double gap_db) {
-    if (snr_linear < 0.0) {
-        throw std::domain_error("gapped_shannon_bits_per_hz: negative SNR");
-    }
-    return std::log2(1.0 + snr_linear / propagation::db_to_linear(gap_db));
-}
-
 }  // namespace csense::capacity

@@ -16,9 +16,4 @@ double shannon_bits_per_hz_db(double snr_db);
 /// Inverse: the linear SNR required for a target spectral efficiency.
 double snr_for_bits_per_hz(double bits_per_hz);
 
-/// A practical radio achieves a constant fraction of Shannon capacity
-/// ("less by some constant fraction", §3.2.1). This helper applies a gap
-/// expressed in dB to the SNR before evaluating capacity.
-double gapped_shannon_bits_per_hz(double snr_linear, double gap_db);
-
 }  // namespace csense::capacity

@@ -84,6 +84,12 @@ void medium::set_link_gain_db(node_id a, node_id b, double gain_db) {
     if (a >= n || b >= n || a == b) {
         throw std::invalid_argument("medium::set_link_gain_db: bad link");
     }
+    // A NaN would read as "no link" at the freeze and +inf would turn a
+    // neighbour's running sum into inf - inf = NaN.
+    if (!std::isfinite(gain_db)) {
+        throw std::invalid_argument(
+            "medium::set_link_gain_db: gain must be finite");
+    }
     if (frozen_) {
         throw std::logic_error(
             "medium::set_link_gain_db: neighbor lists are frozen once "
@@ -249,26 +255,6 @@ void medium::notify_neighbors_after_cca(node_id src) {
     });
 }
 
-void medium::refresh_power_sums() {
-    // Exact rebuild of every incremental sum from the active set, so the
-    // compensated accounting can never drift over long runs. Keyed to
-    // event counts by the caller - deterministic, never wall clock.
-    for (std::size_t n = 0; n < ext_mw_.size(); ++n) {
-        ext_mw_[n].reset();
-        audible_count_[n] = 0;
-    }
-    for (const std::size_t i : active_tx_) {
-        const auto& t = transmissions_[i];
-        const double* row = row_rx_mw(t);
-        const std::size_t begin = nbr_offset_[t.src];
-        const std::size_t end = nbr_offset_[t.src + 1];
-        for (std::size_t s = begin; s < end; ++s) {
-            ext_mw_[nbr_id_[s]].add(row[s - begin]);
-            ++audible_count_[nbr_id_[s]];
-        }
-    }
-}
-
 void medium::start_transmission(node_id src, const frame& f,
                                 bool cs_said_idle) {
     check_node(src, "medium::start_transmission");
@@ -337,7 +323,6 @@ void medium::start_transmission(node_id src, const frame& f,
                 nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
         }
     }
-    active_tx_.push_back(index);
     tx_flag_by_node_[src] = 1;
     active_tx_by_node_[src] = static_cast<std::int64_t>(index);
 
@@ -394,11 +379,6 @@ void medium::end_transmission(std::size_t tx_index) {
     const node_id src = transmissions_[tx_index].src;
     tx_flag_by_node_[src] = 0;
     active_tx_by_node_[src] = -1;
-    // Swap-erase: active order only feeds the exact refresh, whose
-    // association is deterministic either way.
-    const auto it = std::find(active_tx_.begin(), active_tx_.end(), tx_index);
-    *it = active_tx_.back();
-    active_tx_.pop_back();
 
     const transmission& t = transmissions_[tx_index];
     const double* row = row_rx_mw(t);
@@ -436,11 +416,6 @@ void medium::end_transmission(std::size_t tx_index) {
     free_slots_.push_back(tx_index);
     // Interference relief never lowers a min-SINR, so there is no SINR
     // sweep after the removal.
-    if (radio_.power_refresh_interval > 0 &&
-        ++ends_since_refresh_ >= radio_.power_refresh_interval) {
-        refresh_power_sums();
-        ends_since_refresh_ = 0;
-    }
     for (const auto& d : deliveries) {
         listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr,
                                             d.decoded);

@@ -29,9 +29,11 @@
 // set, links whose received power falls below the floor are treated as
 // exactly zero and dropped from the rows, making k independent of N.
 // External power has one definition either way: the noise floor plus
-// the running sum. An exact reset whenever a node's audible set empties
-// plus a periodic exact refresh (radio_config::power_refresh_interval)
-// keep the incremental sums drift-free and deterministic.
+// the running sum. The sums are deterministic because frame edges run
+// in simulator order. The compensated sum is never rebuilt: it stays
+// within an ulp of the exact value over 10^7 frame edges against an
+// exact fixed-point oracle (tests/test_kahan.cpp), and an exact reset
+// whenever a node's audible set empties clears what rounding remains.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +110,9 @@ public:
     std::size_t node_count() const noexcept { return listeners_.size(); }
 
     /// Symmetric link gain in dB (negative; rx = tx_power + gain).
-    /// Throws std::invalid_argument on an unknown node id or a == b, and
-    /// std::logic_error when setting a gain after the topology froze.
+    /// Throws std::invalid_argument on an unknown node id, a == b or a
+    /// non-finite gain, and std::logic_error when setting a gain after
+    /// the topology froze.
     void set_link_gain_db(node_id a, node_id b, double gain_db);
     double link_gain_db(node_id a, node_id b) const;
 
@@ -204,7 +207,6 @@ private:
     void freeze_topology();
     /// Per-slot rx power (mW) of a transmission over its CSR row.
     const double* row_rx_mw(const transmission& t) const;
-    void refresh_power_sums();
     void notify_neighbors_after_cca(node_id src);
     /// Tells node n's listener about a busy flip.
     void report_flip(node_id n);
@@ -230,7 +232,6 @@ private:
     std::vector<stats::kahan_sum> ext_mw_;
     std::vector<std::uint32_t> audible_count_;
     std::vector<cca_state> cca_;
-    int ends_since_refresh_ = 0;
     /// One settled reception, staged so delivery callbacks run after
     /// all lock bookkeeping (they may re-enter start_transmission).
     struct delivery {
@@ -250,7 +251,6 @@ private:
     /// Slot table of frames on the air; free_slots_ lists the unused ones.
     std::vector<transmission> transmissions_;
     std::vector<std::size_t> free_slots_;
-    std::vector<std::size_t> active_tx_;        ///< indices of active entries
     std::vector<std::uint8_t> tx_flag_by_node_; ///< 1 while a node is on air
     std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
                                                    ///< -1 when off air

@@ -60,16 +60,6 @@ struct radio_config {
     /// gain set stays audible, so each node has N - 1 neighbors.
     double audibility_floor_dbm = audibility_floor_disabled_dbm;
 
-    /// Medium-scaling knob: every this-many
-    /// transmission *ends* the medium rebuilds each node's running
-    /// external-power sum exactly from the active transmissions, so the
-    /// compensated incremental accounting can never drift over long
-    /// runs. Keyed to event counts, never wall clock, so runs stay
-    /// deterministic. <= 0 disables the periodic refresh (the
-    /// Kahan-compensated sums and the exact reset whenever a node's
-    /// audible set empties still bound the error).
-    int power_refresh_interval = 4096;
-
     /// True when audibility_floor_dbm is set (sub-floor links culled).
     bool audibility_enabled() const noexcept {
         return audibility_floor_dbm > audibility_floor_disabled_dbm;

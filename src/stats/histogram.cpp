@@ -28,11 +28,6 @@ void histogram::add(double x) noexcept {
     ++counts_[bin];
 }
 
-double histogram::bin_center(std::size_t bin) const {
-    if (bin >= counts_.size()) throw std::out_of_range("histogram::bin_center");
-    return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
 double histogram::cdf(double x) const noexcept {
     if (total_ == 0) return 0.0;
     if (x < lo_) return 0.0;

@@ -20,9 +20,6 @@ public:
     std::size_t overflow() const noexcept { return overflow_; }
     std::size_t count(std::size_t bin) const { return counts_.at(bin); }
 
-    /// Center of the given bin.
-    double bin_center(std::size_t bin) const;
-
     /// Fraction of all observations (including under/overflow) falling at
     /// or below x, computed from bin boundaries.
     double cdf(double x) const noexcept;

@@ -46,8 +46,7 @@ public:
 
     /// Reset to exactly `value` with zero compensation. The medium calls
     /// this whenever a node's audible set empties (the sum is exactly
-    /// zero then) and on its periodic exact refresh, so drift can never
-    /// accumulate across quiet periods.
+    /// zero then), so no rounding carries across quiet periods.
     constexpr void reset(double value = 0.0) noexcept {
         sum_ = value;
         compensation_ = 0.0;

@@ -109,27 +109,6 @@ const quadrature_rule& cached_rule(int n, bool hermite) {
     return it->second;
 }
 
-double simpson(double a, double fa, double b, double fb, double fm) {
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-}
-
-double adaptive_step(const std::function<double(double)>& f, double a, double fa,
-                     double b, double fb, double m, double fm, double whole,
-                     double tol, int depth) {
-    const double lm = 0.5 * (a + m);
-    const double rm = 0.5 * (m + b);
-    const double flm = f(lm);
-    const double frm = f(rm);
-    const double left = simpson(a, fa, m, fm, flm);
-    const double right = simpson(m, fm, b, fb, frm);
-    const double delta = left + right - whole;
-    if (depth <= 0 || std::abs(delta) <= 15.0 * tol) {
-        return left + right + delta / 15.0;
-    }
-    return adaptive_step(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) +
-           adaptive_step(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1);
-}
-
 }  // namespace
 
 const quadrature_rule& gauss_legendre(int n) { return cached_rule(n, false); }
@@ -146,14 +125,6 @@ double integrate(const std::function<double(double)>& f, double a, double b,
         sum += rule.weights[i] * f(mid + half * rule.nodes[i]);
     }
     return half * sum;
-}
-
-double integrate_adaptive(const std::function<double(double)>& f, double a,
-                          double b, double tol, int max_depth) {
-    const double m = 0.5 * (a + b);
-    const double fa = f(a), fb = f(b), fm = f(m);
-    const double whole = simpson(a, fa, b, fb, fm);
-    return adaptive_step(f, a, fa, b, fb, m, fm, whole, tol, max_depth);
 }
 
 double normal_expectation(const std::function<double(double)>& f, int n) {

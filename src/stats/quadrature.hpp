@@ -29,10 +29,6 @@ const quadrature_rule& gauss_hermite(int n);
 double integrate(const std::function<double(double)>& f, double a, double b,
                  int n = 64);
 
-/// Adaptive Simpson integration with absolute tolerance `tol`.
-double integrate_adaptive(const std::function<double(double)>& f, double a,
-                          double b, double tol = 1e-9, int max_depth = 40);
-
 /// E[f(Z)] for Z ~ N(0,1) using an n-point Gauss-Hermite rule.
 double normal_expectation(const std::function<double(double)>& f, int n = 24);
 

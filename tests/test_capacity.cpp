@@ -25,13 +25,6 @@ TEST(Shannon, InverseRoundTrip) {
     }
 }
 
-TEST(Shannon, GapReducesCapacity) {
-    EXPECT_LT(gapped_shannon_bits_per_hz(100.0, 3.0),
-              shannon_bits_per_hz(100.0));
-    EXPECT_DOUBLE_EQ(gapped_shannon_bits_per_hz(100.0, 0.0),
-                     shannon_bits_per_hz(100.0));
-}
-
 TEST(Shannon, RejectsNegativeSnr) {
     EXPECT_THROW(shannon_bits_per_hz(-0.1), std::domain_error);
     EXPECT_THROW(snr_for_bits_per_hz(-1.0), std::domain_error);
@@ -174,11 +167,6 @@ TEST(ErrorModels, RejectsBadPayload) {
     EXPECT_THROW(model.packet_error_rate(rate_by_mbps(6.0), 10.0, 0),
                  std::invalid_argument);
     EXPECT_THROW(logistic_per_model(0.0), std::invalid_argument);
-}
-
-TEST(ModulationNames, AllDistinct) {
-    EXPECT_EQ(modulation_name(modulation::bpsk), "BPSK");
-    EXPECT_EQ(modulation_name(modulation::qam64), "64-QAM");
 }
 
 }  // namespace

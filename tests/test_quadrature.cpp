@@ -1,6 +1,6 @@
 // Quadrature correctness: Gauss-Legendre polynomial exactness,
-// Gauss-Hermite normal moments, adaptive Simpson on known integrals, and
-// the disc-average operator the capacity model is built on.
+// Gauss-Hermite normal moments, and the disc-average operator the
+// capacity model is built on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -82,27 +82,6 @@ TEST(GaussHermite, LognormalMean) {
             normal_expectation([&](double z) { return std::exp(s * z); }, 32);
         EXPECT_NEAR(value, std::exp(0.5 * s * s), 1e-6) << "s = " << s;
     }
-}
-
-TEST(AdaptiveSimpson, SmoothIntegrals) {
-    EXPECT_NEAR(integrate_adaptive([](double x) { return std::exp(x); }, 0.0,
-                                   1.0, 1e-10),
-                std::numbers::e - 1.0, 1e-9);
-    EXPECT_NEAR(integrate_adaptive([](double x) { return 1.0 / (1.0 + x * x); },
-                                   0.0, 1.0, 1e-10),
-                std::numbers::pi / 4.0, 1e-9);
-}
-
-TEST(AdaptiveSimpson, HandlesSharpPeak) {
-    // Narrow Gaussian bump integrates to ~sqrt(pi) * width. The interval
-    // is chosen so the initial refinement brackets the peak; a coarse
-    // first pass over a much wider interval can miss a feature entirely,
-    // which is inherent to adaptive Simpson.
-    const double w = 0.01;
-    const double value = integrate_adaptive(
-        [&](double x) { return std::exp(-(x - 0.3) * (x - 0.3) / (w * w)); },
-        0.2, 0.4, 1e-12);
-    EXPECT_NEAR(value, std::sqrt(std::numbers::pi) * w, 1e-8);
 }
 
 TEST(DiscAverage, ConstantIsItself) {
