@@ -1,6 +1,5 @@
 #include "src/capacity/rate_adaptation.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace csense::capacity {
@@ -13,9 +12,7 @@ arf::arf(const std::vector<phy_rate>& table, int up_after, int down_after)
     }
 }
 
-const phy_rate& arf::next_rate() { return table_[index_]; }
-
-void arf::report(const phy_rate&, bool delivered, double) {
+void arf::report(bool delivered) noexcept {
     if (delivered) {
         failures_ = 0;
         if (++successes_ >= up_after_ && index_ + 1 < table_.size()) {
@@ -29,78 +26,6 @@ void arf::report(const phy_rate&, bool delivered, double) {
             failures_ = 0;
         }
     }
-}
-
-sample_rate::sample_rate(const std::vector<phy_rate>& table, int payload_bytes,
-                         std::uint64_t seed, double ewma_weight,
-                         double probe_fraction)
-    : table_(table), states_(table.size()), payload_bytes_(payload_bytes),
-      rng_(seed), ewma_weight_(ewma_weight), probe_fraction_(probe_fraction) {
-    if (table_.empty()) throw std::invalid_argument("sample_rate: empty table");
-    if (payload_bytes <= 0) throw std::invalid_argument("sample_rate: payload");
-}
-
-double sample_rate::expected_time_us(std::size_t index) const {
-    const auto& state = states_.at(index);
-    const double airtime = frame_airtime_us(table_[index], payload_bytes_);
-    if (state.ewma_delivery < 0.0) return airtime;  // unprobed: optimistic
-    if (state.ewma_delivery <= 1e-6) {
-        return std::numeric_limits<double>::infinity();
-    }
-    return airtime / state.ewma_delivery;
-}
-
-std::size_t sample_rate::best_index() const {
-    std::size_t best = 0;
-    double best_time = expected_time_us(0);
-    for (std::size_t i = 1; i < table_.size(); ++i) {
-        const double t = expected_time_us(i);
-        if (t < best_time) {
-            best_time = t;
-            best = i;
-        }
-    }
-    return best;
-}
-
-const phy_rate& sample_rate::next_rate() {
-    const std::size_t best = best_index();
-    pending_index_ = best;
-    if (rng_.uniform() < probe_fraction_ && table_.size() > 1) {
-        // Probe a random other rate whose lossless air time could beat the
-        // current best's expected time (SampleRate's pruning rule).
-        const double current = expected_time_us(best);
-        std::vector<std::size_t> candidates;
-        for (std::size_t i = 0; i < table_.size(); ++i) {
-            if (i == best) continue;
-            if (frame_airtime_us(table_[i], payload_bytes_) < current) {
-                candidates.push_back(i);
-            }
-        }
-        if (!candidates.empty()) {
-            pending_index_ =
-                candidates[rng_.uniform_int(candidates.size())];
-        }
-    }
-    return table_[pending_index_];
-}
-
-void sample_rate::report(const phy_rate& rate, bool delivered, double) {
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-        if (table_[i].mbps != rate.mbps) continue;
-        auto& state = states_[i];
-        ++state.attempts;
-        if (delivered) ++state.successes;
-        const double outcome = delivered ? 1.0 : 0.0;
-        if (state.ewma_delivery < 0.0) {
-            state.ewma_delivery = outcome;
-        } else {
-            state.ewma_delivery = (1.0 - ewma_weight_) * state.ewma_delivery +
-                                  ewma_weight_ * outcome;
-        }
-        return;
-    }
-    throw std::invalid_argument("sample_rate::report: rate not in table");
 }
 
 const phy_rate& best_fixed_rate_oracle(const std::vector<phy_rate>& table,

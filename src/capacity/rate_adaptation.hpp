@@ -1,12 +1,10 @@
-// Bitrate adaptation algorithms. The thesis treats adaptation as the
-// MAC's most important lever (§1) and assumes a "reasonable bitrate
-// adaptation algorithm (such as [Bicket05])". We provide:
-//  - fixed_rate: no adaptation (the baseline the thesis criticizes);
+// Bitrate adaptation. The thesis treats adaptation as the MAC's most
+// important lever (§1) and assumes a "reasonable bitrate adaptation
+// algorithm (such as [Bicket05])". We provide:
+//  - arf: Auto Rate Fallback, the classic success/failure counter the
+//    unsaturated campaigns run per sender (dcf_node holds one);
 //  - best_fixed_rate_oracle: the thesis' own experimental method -
-//    independently identify the best rate per run;
-//  - arf: Auto Rate Fallback, the classic success/failure counter;
-//  - sample_rate: Bicket's SampleRate, minimizing expected air time
-//    per successful packet with periodic probing.
+//    independently identify the best rate per run.
 #pragma once
 
 #include <cstddef>
@@ -14,51 +12,22 @@
 
 #include "src/capacity/error_models.hpp"
 #include "src/capacity/rate_table.hpp"
-#include "src/stats/rng.hpp"
 
 namespace csense::capacity {
 
-/// Interface for per-packet rate selection with delivery feedback.
-class rate_adaptation {
-public:
-    virtual ~rate_adaptation() = default;
-
-    /// Rate to use for the next transmission.
-    virtual const phy_rate& next_rate() = 0;
-
-    /// Report the outcome of the last transmission at `rate`.
-    virtual void report(const phy_rate& rate, bool delivered,
-                        double airtime_us) = 0;
-
-    /// Name for reporting.
-    virtual const char* name() const noexcept = 0;
-};
-
-/// Always the same rate.
-class fixed_rate final : public rate_adaptation {
-public:
-    explicit fixed_rate(const phy_rate& rate) : rate_(&rate) {}
-
-    const phy_rate& next_rate() override { return *rate_; }
-    void report(const phy_rate&, bool, double) override {}
-    const char* name() const noexcept override { return "fixed"; }
-
-private:
-    const phy_rate* rate_;
-};
-
 /// ARF: move up one rate after `up_after` consecutive successes, down one
-/// after `down_after` consecutive failures.
-class arf final : public rate_adaptation {
+/// after `down_after` consecutive failures. Starts at the table's first
+/// (lowest) rate.
+class arf {
 public:
     explicit arf(const std::vector<phy_rate>& table = ofdm_rates(),
                  int up_after = 10, int down_after = 2);
 
-    const phy_rate& next_rate() override;
-    void report(const phy_rate& rate, bool delivered, double airtime_us) override;
-    const char* name() const noexcept override { return "arf"; }
+    /// Rate to use for the next transmission.
+    const phy_rate& next_rate() const noexcept { return table_[index_]; }
 
-    std::size_t current_index() const noexcept { return index_; }
+    /// Report whether the last transmission was delivered.
+    void report(bool delivered) noexcept;
 
 private:
     std::vector<phy_rate> table_;
@@ -67,42 +36,6 @@ private:
     int down_after_;
     int successes_ = 0;
     int failures_ = 0;
-};
-
-/// SampleRate [Bicket05]: track an EWMA of per-packet air time (counting
-/// retries/losses as wasted time) per rate; send at the rate with the
-/// lowest expected time per delivered packet; spend ~10% of packets
-/// probing other plausible rates.
-class sample_rate final : public rate_adaptation {
-public:
-    explicit sample_rate(const std::vector<phy_rate>& table, int payload_bytes,
-                         std::uint64_t seed = 1, double ewma_weight = 0.25,
-                         double probe_fraction = 0.1);
-
-    const phy_rate& next_rate() override;
-    void report(const phy_rate& rate, bool delivered, double airtime_us) override;
-    const char* name() const noexcept override { return "samplerate"; }
-
-    /// Expected air time per delivered packet for a rate index (us);
-    /// infinite when the rate has seen only failures.
-    double expected_time_us(std::size_t index) const;
-
-private:
-    struct rate_state {
-        double ewma_delivery = -1.0;  ///< -1 until first report
-        std::size_t attempts = 0;
-        std::size_t successes = 0;
-    };
-
-    std::size_t best_index() const;
-
-    std::vector<phy_rate> table_;
-    std::vector<rate_state> states_;
-    int payload_bytes_;
-    stats::rng rng_;
-    double ewma_weight_;
-    double probe_fraction_;
-    std::size_t pending_index_ = 0;
 };
 
 /// The thesis' §4 oracle: evaluate the long-run delivery rate of every

@@ -26,9 +26,6 @@ const cs_adaptation_config& validated(const cs_adaptation_config& config) {
         throw std::invalid_argument(
             "cs_adaptation_config: ewma_weight not in (0, 1]");
     }
-    if (config.jitter_db < 0.0) {
-        throw std::invalid_argument("cs_adaptation_config: negative jitter");
-    }
     return config;
 }
 
@@ -36,7 +33,7 @@ const cs_adaptation_config& validated(const cs_adaptation_config& config) {
 
 adaptive_cs_controller::adaptive_cs_controller(
     const cs_adaptation_config& config, double initial_threshold_dbm,
-    double signal_dbm, double noise_dbm, int contenders, stats::rng stream)
+    double signal_dbm, double noise_dbm, int contenders)
     : config_(validated(config)),
       threshold_dbm_(std::clamp(initial_threshold_dbm,
                                 config.min_threshold_dbm,
@@ -44,7 +41,6 @@ adaptive_cs_controller::adaptive_cs_controller(
       signal_dbm_(signal_dbm),
       noise_dbm_(noise_dbm),
       contenders_(std::max(contenders, 1)),
-      rng_(stream),
       interference_ewma_mw_(propagation::dbm_to_mw(noise_dbm)) {}
 
 double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
@@ -75,14 +71,12 @@ double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
             break;
         case cs_adapt_policy::target_busy: {
             // With n saturated senders the idle fraction at a well-tuned
-            // threshold shrinks like 1/n, so the auto set point scales
-            // the target with the contender count.
-            const double target =
-                config_.busy_target > 0.0
-                    ? config_.busy_target
-                    : std::clamp(1.0 - config_.busy_idle_scale /
-                                           static_cast<double>(contenders_),
-                                 0.10, 0.95);
+            // threshold shrinks like 1/n, so the set point scales the
+            // target with the contender count.
+            const double target = std::clamp(
+                1.0 - config_.busy_idle_scale /
+                          static_cast<double>(contenders_),
+                0.10, 0.95);
             threshold += config_.busy_gain_db * (busy_ewma_ - target);
             break;
         }
@@ -112,24 +106,19 @@ double adaptive_cs_controller::on_epoch(const adaptive_cs_sample& sample) {
             break;
         }
     }
-    if (config_.jitter_db > 0.0) {
-        threshold += config_.jitter_db * (rng_.uniform() - 0.5);
-    }
     threshold_dbm_ = std::clamp(threshold, config_.min_threshold_dbm,
                                 config_.max_threshold_dbm);
     return threshold_dbm_;
 }
 
 adaptive_cs_manager::adaptive_cs_manager(network& net,
-                                         std::vector<adaptive_cs_link> links,
-                                         std::uint64_t seed)
+                                         std::vector<adaptive_cs_link> links)
     : net_(net), epoch_us_(0.0) {
     if (links.empty()) {
         throw std::invalid_argument("adaptive_cs_manager: no links");
     }
     epoch_us_ = validated(net.node(links.front().sender).config().adapt)
                     .epoch_us;
-    const stats::rng base(seed);
     const double noise_dbm = net.air().radio().noise_floor_dbm;
     links_.reserve(links.size());
     for (const auto& link : links) {
@@ -143,8 +132,7 @@ adaptive_cs_manager::adaptive_cs_manager(network& net,
             link,
             adaptive_cs_controller(
                 node.config().adapt, node.cs_threshold_dbm(), signal_dbm,
-                noise_dbm, static_cast<int>(links.size()),
-                base.split(static_cast<std::uint64_t>(link.sender))),
+                noise_dbm, static_cast<int>(links.size())),
             0.0, 0.0, 0, 0});
     }
 }

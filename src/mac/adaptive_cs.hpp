@@ -29,19 +29,17 @@
 //                      multiplexing crossing the offline model solves,
 //                      driven by the fed-back receiver RSSI.
 //
-// Determinism: controllers are driven by a single per-network epoch
-// event that visits senders in node-index order, and each controller's
-// dither stream is stats::rng(seed).split(sender id) - a function of
-// (seed, node index) only. Campaign replications that shard adaptive
-// runs across threads therefore stay bit-identical for every worker
-// count.
+// Determinism: controllers draw no randomness and are driven by a
+// single per-network epoch event that visits senders in node-index
+// order, so an adaptive run is a function of the network's seed alone.
+// Campaign replications that shard adaptive runs across threads
+// therefore stay bit-identical for every worker count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "src/mac/network.hpp"
-#include "src/stats/rng.hpp"
 
 namespace csense::mac {
 
@@ -69,14 +67,12 @@ class adaptive_cs_controller {
 public:
     /// `signal_dbm` is the sender->receiver received power, `noise_dbm`
     /// the radio noise floor, and `contenders` the number of competing
-    /// senders - the quantities the fixed-point balance needs. `stream`
-    /// must be a split stream keyed by the node index so runs are
-    /// reproducible regardless of scheduling. Throws
-    /// std::invalid_argument on nonsensical configuration.
+    /// senders - the quantities the fixed-point balance and the
+    /// busy-fraction set point need. Throws std::invalid_argument on
+    /// nonsensical configuration.
     adaptive_cs_controller(const cs_adaptation_config& config,
                            double initial_threshold_dbm, double signal_dbm,
-                           double noise_dbm, int contenders,
-                           stats::rng stream);
+                           double noise_dbm, int contenders);
 
     /// Consume one epoch of measurements; returns the new threshold,
     /// already clamped to [min_threshold_dbm, max_threshold_dbm].
@@ -100,7 +96,6 @@ private:
     double signal_dbm_;
     double noise_dbm_;
     int contenders_;
-    stats::rng rng_;
 
     double busy_ewma_ = 0.0;
     double loss_ewma_ = 0.0;
@@ -117,12 +112,9 @@ private:
 /// from the first link's config. Must outlive the network's run.
 class adaptive_cs_manager {
 public:
-    /// `seed` must derive only from the replication's seed; controller
-    /// dither streams are split(sender id) from it. Throws
-    /// std::invalid_argument when `links` is empty or any sender's
-    /// adaptation config is nonsensical.
-    adaptive_cs_manager(network& net, std::vector<adaptive_cs_link> links,
-                        std::uint64_t seed);
+    /// Throws std::invalid_argument when `links` is empty or any
+    /// sender's adaptation config is nonsensical.
+    adaptive_cs_manager(network& net, std::vector<adaptive_cs_link> links);
 
     /// Captures counter baselines and schedules the first epoch. Call
     /// after traffic is configured, before (or at) simulation start.

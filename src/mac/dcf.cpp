@@ -1,6 +1,7 @@
 #include "src/mac/dcf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace csense::mac {
@@ -13,12 +14,12 @@ constexpr sim::time_us timeout_margin_us = 10.0;
 }  // namespace
 
 dcf_node::dcf_node(sim::simulator& sim, medium& med, mac_config config,
-                   std::uint64_t seed, dcf_hot_state* hot)
+                   std::uint64_t seed, dcf_hot_state& hot)
     : sim_(sim), medium_(med), config_(config),
       id_(med.add_node(*this, med.radio().cs_threshold_dbm +
                                   config.cs_threshold_offset_db)),
       rng_(seed), control_rate_(&capacity::rate_by_mbps(6.0)),
-      hot_(hot != nullptr ? hot : &own_hot_) {
+      hot_(&hot) {
     if (config_.cw_min < 1 || config_.cw_max < config_.cw_min) {
         throw std::invalid_argument("dcf_node: bad contention window");
     }
@@ -42,17 +43,21 @@ void dcf_node::set_traffic_model(const traffic_config& config) {
     if (config.queue_capacity < 0) {
         throw std::invalid_argument("dcf_node: queue_capacity");
     }
+    // An infinite rate draws 0 us interarrivals (the run would livelock
+    // at one instant); NaN, zero and negatives have no meaning.
+    if (!config.saturated() && !(config.offered_load_pps > 0.0 &&
+                                 std::isfinite(config.offered_load_pps))) {
+        throw std::invalid_argument(
+            "dcf_node: offered_load_pps must be finite and > 0");
+    }
     traffic_model_ = config;
-    source_ = make_traffic_source(config);  // validates the rate knobs
 }
 
-void dcf_node::set_rate_adaptation(capacity::rate_adaptation* adapter) {
-    adaptation_ = adapter;
-}
+void dcf_node::enable_rate_adaptation() { arf_.emplace(); }
 
 void dcf_node::start() {
     if (traffic_ == traffic_mode::none) return;
-    if (source_ == nullptr || source_->saturated()) {
+    if (traffic_model_.saturated()) {
         // The historical always-backlogged path: refill inline, no
         // arrival events — byte-identical to the pre-queue MAC.
         hot_->state = state::contending;
@@ -62,14 +67,15 @@ void dcf_node::start() {
         return;
     }
     // The arrival stream is a split child of the node RNG: deriving it
-    // consumes no draws, so installing an unsaturated source on one node
+    // consumes no draws, so installing Poisson arrivals on one node
     // cannot perturb any other node's backoff sequence.
     arrival_rng_ = rng_.split("traffic");
     schedule_next_arrival();
 }
 
 void dcf_node::schedule_next_arrival() {
-    const sim::time_us gap = source_->next_interarrival_us(arrival_rng_);
+    const sim::time_us gap =
+        arrival_rng_.exponential(traffic_model_.offered_load_pps / 1e6);
     arrival_event_ = sim_.schedule_in(gap, [this] { on_arrival(); });
 }
 
@@ -199,8 +205,8 @@ double dcf_node::exchange_nav_us(const capacity::phy_rate& data_rate) const {
 }
 
 const capacity::phy_rate& dcf_node::current_data_rate() {
-    if (adaptation_ != nullptr && traffic_ == traffic_mode::unicast) {
-        return adaptation_->next_rate();
+    if (arf_.has_value() && traffic_ == traffic_mode::unicast) {
+        return arf_->next_rate();
     }
     return *data_rate_;
 }
@@ -239,7 +245,7 @@ void dcf_node::packet_done(bool delivered) {
     hot_->have_packet = false;
     hot_->state = state::contending;
     if (traffic_ == traffic_mode::none) return;
-    if (source_ == nullptr || source_->saturated()) {
+    if (traffic_model_.saturated()) {
         new_packet();  // saturated sources always have a next packet
         head_enqueued_us_ = sim_.now();
         reevaluate();
@@ -304,11 +310,7 @@ void dcf_node::queue_response(const frame& response,
 
 void dcf_node::note_unicast_outcome(bool delivered) {
     if (traffic_ != traffic_mode::unicast) return;
-    if (adaptation_ != nullptr && packet_rate_ != nullptr) {
-        adaptation_->report(*packet_rate_, delivered,
-                            capacity::frame_airtime_us(*packet_rate_,
-                                                       payload_bytes_));
-    }
+    if (arf_.has_value()) arf_->report(delivered);
     if (config_.adaptive_rts_cts) {
         constexpr double weight = 0.1;
         loss_ewma_ = (1.0 - weight) * loss_ewma_ + weight * (delivered ? 0.0 : 1.0);
@@ -357,7 +359,7 @@ void dcf_node::on_energy_busy(bool busy) {
     reevaluate();
 }
 
-void dcf_node::on_preamble(const frame&, double, sim::time_us until) {
+void dcf_node::on_preamble(sim::time_us until) {
     const bool preamble_mode = config_.sense == cs_mode::preamble ||
                                config_.sense == cs_mode::energy_and_preamble;
     if (!preamble_mode) return;  // this radio's CCA ignores preambles

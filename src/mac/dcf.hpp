@@ -8,14 +8,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
 #include "src/capacity/rate_adaptation.hpp"
 #include "src/mac/medium.hpp"
 #include "src/mac/node_state.hpp"
-#include "src/mac/traffic.hpp"
 #include "src/mac/wireless_config.hpp"
 #include "src/stats/quantile.hpp"
 
@@ -50,12 +48,11 @@ struct node_stats {
 /// One DCF station.
 class dcf_node final : public medium_listener {
 public:
-    /// Creates the node and registers it with the medium. `hot` points
-    /// this node's per-event state at a pool-owned cache-line block
-    /// (see node_state_pool); when null the node carries its own block,
-    /// so standalone construction keeps working.
+    /// Creates the node and registers it with the medium. `hot` is this
+    /// node's per-event state: a pool-owned cache-line block (see
+    /// node_state_pool) that must outlive the node.
     dcf_node(sim::simulator& sim, medium& med, mac_config config,
-             std::uint64_t seed, dcf_hot_state* hot = nullptr);
+             std::uint64_t seed, dcf_hot_state& hot);
 
     /// Cancels any pending arrival event (the owning network's simulator
     /// outlives its nodes, so teardown mid-run is safe).
@@ -73,9 +70,11 @@ public:
                      const capacity::phy_rate& rate, int payload_bytes);
 
     /// Configure the arrival process and queue capacity. Must be called
-    /// before the simulation starts; unsaturated arrivals draw from the
+    /// before the simulation starts; Poisson arrivals draw from the
     /// node's split "traffic" RNG stream, so the arrival sequence
-    /// depends only on the node seed and this config.
+    /// depends only on the node seed and this config. Throws
+    /// std::invalid_argument on a negative queue capacity or, for
+    /// Poisson arrivals, a load that is not finite and > 0.
     void set_traffic_model(const traffic_config& config);
 
     /// Enqueue->delivery sojourn times (us) of every delivered packet:
@@ -89,9 +88,14 @@ public:
     /// Packets currently waiting behind the one in service.
     std::size_t queue_depth() const noexcept { return queue_.size(); }
 
-    /// Optional rate adaptation (unicast only; overrides the fixed rate).
-    /// The adapter must outlive the node.
-    void set_rate_adaptation(capacity::rate_adaptation* adapter);
+    /// True while a packet is in service: contending, on the air, or
+    /// awaiting its CTS/ACK.
+    bool packet_in_service() const noexcept { return hot_->have_packet; }
+
+    /// Adapt the data rate per packet with ARF (capacity::arf over the
+    /// OFDM table, starting at 6 Mb/s). Unicast only - ARF needs ACK
+    /// feedback; overrides the fixed rate.
+    void enable_rate_adaptation();
 
     /// Begin contending (call once, at simulation start).
     void start();
@@ -127,8 +131,7 @@ public:
 
     // medium_listener interface.
     void on_energy_busy(bool busy) override;
-    void on_preamble(const frame& f, double rx_power_dbm,
-                     sim::time_us until) override;
+    void on_preamble(sim::time_us until) override;
     void on_frame_received(const frame& f, double rx_power_dbm,
                            double min_sinr_db, bool decoded) override;
     void on_tx_complete(const frame& f) override;
@@ -175,12 +178,10 @@ private:
     const capacity::phy_rate* data_rate_ = nullptr;
     const capacity::phy_rate* control_rate_ = nullptr;
     int payload_bytes_ = 1400;
-    capacity::rate_adaptation* adaptation_ = nullptr;
+    std::optional<capacity::arf> arf_;  ///< set by enable_rate_adaptation
 
-    // Arrival process + FIFO queue. A null source behaves as saturated
-    // (nodes driven without start() keep the historical refill path).
+    // Arrival process + FIFO queue (saturated by default).
     traffic_config traffic_model_;
-    std::unique_ptr<traffic_source> source_;
     stats::rng arrival_rng_;  ///< re-derived at start() via split("traffic")
     std::deque<sim::time_us> queue_;  ///< enqueue timestamps, FIFO order
     sim::time_us head_enqueued_us_ = 0.0;  ///< of the packet in service
@@ -188,11 +189,9 @@ private:
     stats::streaming_quantiles sojourn_;
 
     // Per-event hot state (channel sense + contention + timer
-    // generation) lives in one cache-line block, pool-backed when the
-    // network provides one; everything below hot_ is cold (touched per
-    // packet or per epoch, not per event).
+    // generation) lives in one pool-owned cache-line block; everything
+    // below hot_ is cold (touched per packet or per epoch, not per event).
     dcf_hot_state* hot_;
-    dcf_hot_state own_hot_;  ///< fallback storage for pool-less nodes
 
     // Adaptive carrier sense: per-node threshold override (the medium
     // holds the sensed-power accounting the controllers consume).

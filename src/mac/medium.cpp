@@ -48,8 +48,7 @@ void medium::check_node(node_id n, const char* what) const {
 void medium::reserve_nodes(std::size_t nodes) {
     listeners_.reserve(nodes);
     lock_by_node_.reserve(nodes);
-    tx_flag_by_node_.reserve(nodes);
-    active_tx_by_node_.reserve(nodes);
+    tx_slot_by_node_.reserve(nodes);
     ext_mw_.reserve(nodes);
     audible_count_.reserve(nodes);
     cca_.reserve(nodes);
@@ -65,8 +64,7 @@ node_id medium::add_node(medium_listener& listener, double cs_threshold_dbm) {
     const auto id = static_cast<node_id>(listeners_.size());
     listeners_.push_back(&listener);
     lock_by_node_.emplace_back();
-    tx_flag_by_node_.push_back(0);
-    active_tx_by_node_.push_back(-1);
+    tx_slot_by_node_.push_back(-1);
     ext_mw_.emplace_back();
     audible_count_.push_back(0);
     cca_.push_back(cca_state{threshold_mw, noise_mw_});
@@ -113,7 +111,7 @@ double medium::rx_power_dbm(node_id tx, node_id rx) const {
 
 bool medium::transmitting(node_id n) const {
     check_node(n, "medium::transmitting");
-    return tx_flag_by_node_[n] != 0;
+    return tx_slot_by_node_[n] >= 0;
 }
 
 std::size_t medium::neighbor_count(node_id n) const {
@@ -258,7 +256,7 @@ void medium::notify_neighbors_after_cca(node_id src) {
 void medium::start_transmission(node_id src, const frame& f,
                                 bool cs_said_idle) {
     check_node(src, "medium::start_transmission");
-    if (tx_flag_by_node_[src] != 0) {
+    if (tx_slot_by_node_[src] >= 0) {
         throw std::logic_error("medium::start_transmission: already on air");
     }
     if (!frozen_) freeze_topology();
@@ -270,7 +268,7 @@ void medium::start_transmission(node_id src, const frame& f,
     bool audible = false;
     bool mutual_recent_start = false;
     for (std::size_t s = begin; s < end; ++s) {
-        const std::int64_t ti = active_tx_by_node_[nbr_id_[s]];
+        const std::int32_t ti = tx_slot_by_node_[nbr_id_[s]];
         if (ti < 0) continue;
         // Unfaded sensed power, symmetric in (src, neighbor): one
         // precomputed row value answers both directions of the
@@ -293,10 +291,7 @@ void medium::start_transmission(node_id src, const frame& f,
     }
 
     // A transmitter abandons any reception in progress.
-    if (lock_by_node_[src] && lock_by_node_[src]->active) {
-        lock_by_node_[src]->active = false;
-        lock_by_node_[src].reset();
-    }
+    lock_by_node_[src].reset();
 
     // Take a free slot (ended frames return theirs), so the table stays
     // as large as the most frames ever on the air at once.
@@ -323,8 +318,7 @@ void medium::start_transmission(node_id src, const frame& f,
                 nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
         }
     }
-    tx_flag_by_node_[src] = 1;
-    active_tx_by_node_[src] = static_cast<std::int64_t>(index);
+    tx_slot_by_node_[src] = static_cast<std::int32_t>(index);
 
     const double* row = row_rx_mw(t);
     // Incremental power accounting: this frame's rx power joins each
@@ -337,7 +331,7 @@ void medium::start_transmission(node_id src, const frame& f,
     // New interference hits ongoing receptions at the neighbors.
     for (std::size_t s = begin; s < end; ++s) {
         auto& lock = lock_by_node_[nbr_id_[s]];
-        if (!lock || !lock->active) continue;
+        if (!lock) continue;
         const double interference = std::max(
             external_power_mw(lock->rx) - lock->signal_mw, min_positive_mw);
         lock->max_interference_mw =
@@ -346,7 +340,7 @@ void medium::start_transmission(node_id src, const frame& f,
     // Then candidate neighbors may lock onto this frame.
     for (std::size_t s = begin; s < end; ++s) {
         const node_id n = nbr_id_[s];
-        if (tx_flag_by_node_[n] != 0) continue;  // deaf while transmitting
+        if (tx_slot_by_node_[n] >= 0) continue;  // deaf while transmitting
         const double power_mw = row[s - begin];
         if (power_mw < preamble_threshold_mw_) continue;
         const double interference =
@@ -357,14 +351,11 @@ void medium::start_transmission(node_id src, const frame& f,
         // The preamble is decodable at this node: announce it (carrier
         // sense hook) after the CCA lag, and lock if the receiver is free.
         medium_listener* listener = listeners_[n];
-        const frame announced = t.f;
         const sim::time_us until = t.end;
         sim_.schedule_in(radio_.cca_delay_us,
-                         [listener, announced, power_dbm, until] {
-                             listener->on_preamble(announced, power_dbm, until);
-                         });
+                         [listener, until] { listener->on_preamble(until); });
         if (!lock_by_node_[n]) {
-            lock_by_node_[n] = reception{index, n, power_mw, interference, true};
+            lock_by_node_[n] = reception{index, n, power_mw, interference};
         }
     }
     notify_neighbors_after_cca(src);
@@ -377,8 +368,7 @@ void medium::end_transmission(std::size_t tx_index) {
     // which can reallocate transmissions_ or reuse this slot.
     const frame ended = transmissions_[tx_index].f;
     const node_id src = transmissions_[tx_index].src;
-    tx_flag_by_node_[src] = 0;
-    active_tx_by_node_[src] = -1;
+    tx_slot_by_node_[src] = -1;
 
     const transmission& t = transmissions_[tx_index];
     const double* row = row_rx_mw(t);
@@ -401,8 +391,7 @@ void medium::end_transmission(std::size_t tx_index) {
     deliveries.clear();
     for (std::size_t s = begin; s < end; ++s) {
         auto& lock = lock_by_node_[nbr_id_[s]];
-        if (!lock || !lock->active || lock->tx_index != tx_index) continue;
-        lock->active = false;
+        if (!lock || lock->tx_index != tx_index) continue;
         const double signal_dbm = propagation::mw_to_dbm(lock->signal_mw);
         const double sinr_db =
             signal_dbm - propagation::mw_to_dbm(lock->max_interference_mw);

@@ -62,8 +62,7 @@ public:
 
     /// A decodable preamble passed by (node idle or locked, power above
     /// sensitivity). `until` is the frame's scheduled end time.
-    virtual void on_preamble(const frame& f, double rx_power_dbm,
-                             sim::time_us until) = 0;
+    virtual void on_preamble(sim::time_us until) = 0;
 
     /// A locked reception finished. `decoded` reflects the PER draw at
     /// the worst SINR seen during the frame.
@@ -179,7 +178,6 @@ private:
         /// Worst interference seen during the frame. 10*log10 is
         /// monotone, so the frame's worst SINR is the signal over this.
         double max_interference_mw;
-        bool active = true;
     };
 
     /// One node's energy CCA: the threshold as an exact mW boundary
@@ -251,9 +249,10 @@ private:
     /// Slot table of frames on the air; free_slots_ lists the unused ones.
     std::vector<transmission> transmissions_;
     std::vector<std::size_t> free_slots_;
-    std::vector<std::uint8_t> tx_flag_by_node_; ///< 1 while a node is on air
-    std::vector<std::int64_t> active_tx_by_node_;  ///< transmissions_ index,
-                                                   ///< -1 when off air
+    /// Per node: the transmissions_ slot of its frame on the air, -1
+    /// when off air (a node sends one frame at a time).
+    std::vector<std::int32_t> tx_slot_by_node_;
+    /// Per node: the reception it is locked onto, if any.
     std::vector<std::optional<reception>> lock_by_node_;
     medium_counters counters_;
 };

@@ -164,9 +164,6 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         throw std::invalid_argument(
             "run_multi_pair: rate adaptation needs unicast ACK feedback");
     }
-    // Declared before the network so the raw adapter pointers the nodes
-    // hold stay valid for the nodes' whole lifetime.
-    std::vector<std::unique_ptr<capacity::rate_adaptation>> adapters;
     network net(config.radio, config.seed);
     net.reserve_nodes(2 * n);
     mac_config sender_cfg;
@@ -197,24 +194,8 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         if (!config.traffic.saturated()) {
             sender.set_traffic_model(config.traffic);
         }
-        switch (config.rate_adapt) {
-            case rate_adapt_mode::off:
-                break;
-            case rate_adapt_mode::arf:
-                adapters.push_back(std::make_unique<capacity::arf>());
-                sender.set_rate_adaptation(adapters.back().get());
-                break;
-            case rate_adapt_mode::sample_rate:
-                // Per-sender probe stream keyed to the run seed and the
-                // pair index only, so shards and thread counts agree.
-                adapters.push_back(std::make_unique<capacity::sample_rate>(
-                    capacity::ofdm_rates(), config.payload_bytes,
-                    stats::rng(config.seed)
-                        .split("rate_adapt")
-                        .split(static_cast<std::uint64_t>(i))
-                        .next()));
-                sender.set_rate_adaptation(adapters.back().get());
-                break;
+        if (config.rate_adapt == rate_adapt_mode::arf) {
+            sender.enable_rate_adaptation();
         }
     }
 
@@ -228,9 +209,8 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         for (std::size_t i = 0; i < n; ++i) {
             links.push_back({senders[i], receivers[i]});
         }
-        adaptation = std::make_unique<adaptive_cs_manager>(
-            net, std::move(links),
-            stats::rng(config.seed).split("adaptive_cs").next());
+        adaptation =
+            std::make_unique<adaptive_cs_manager>(net, std::move(links));
         adaptation->start();
     }
     net.run(config.duration_us);
@@ -254,6 +234,17 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
         result.offered_packets += sender.stats().offered_packets;
         result.queue_drops += sender.stats().queue_drops;
         result.retry_drops += sender.stats().data_dropped;
+        result.backlog_at_end += sender.queue_depth();
+        result.in_flight += sender.packet_in_service() ? 1 : 0;
+    }
+    if (!config.traffic.saturated() &&
+        result.offered_packets !=
+            result.sojourn_us.count() + result.queue_drops +
+                result.retry_drops + result.backlog_at_end +
+                result.in_flight) {
+        throw std::logic_error(
+            "run_multi_pair: packet conservation violated (offered != "
+            "delivered + queue drops + retry drops + backlog + in flight)");
     }
     if (result.offered_packets > 0) {
         result.drop_rate =

@@ -42,12 +42,11 @@ multi_pair_topology sample_multi_pair_topology(int pairs, double arena_m,
                                                double rmax_m,
                                                stats::rng& gen);
 
-/// Which per-sender bitrate-adaptation algorithm a multi-pair run
-/// installs (unicast only: adaptation needs ACK feedback).
+/// Per-sender bitrate adaptation of a multi-pair run (unicast only:
+/// adaptation needs ACK feedback).
 enum class rate_adapt_mode {
-    off,          ///< the fixed config.rate for every pair
-    arf,          ///< Auto Rate Fallback success/failure counters
-    sample_rate,  ///< Bicket's SampleRate (per-sender split-RNG probing)
+    off,  ///< the fixed config.rate for every pair
+    arf,  ///< Auto Rate Fallback success/failure counters
 };
 
 /// One simulated run's configuration.
@@ -111,10 +110,16 @@ struct multi_pair_result {
     stats::streaming_quantiles sojourn_us;
 
     /// Offered-load accounting summed over senders (unsaturated sources
-    /// only; saturated senders present no discrete arrivals).
+    /// only; saturated senders present no discrete arrivals). Every
+    /// offered packet ends the run in exactly one place:
+    ///   offered_packets == sojourn_us.count() + queue_drops +
+    ///                      retry_drops + backlog_at_end + in_flight,
+    /// which run_multi_pair checks on every unsaturated run.
     std::uint64_t offered_packets = 0;
     std::uint64_t queue_drops = 0;    ///< arrivals lost to full FIFOs
     std::uint64_t retry_drops = 0;    ///< unicast frames over the retry limit
+    std::uint64_t backlog_at_end = 0; ///< packets still queued at the end
+    std::uint64_t in_flight = 0;      ///< packets in service at the end
 
     /// (queue_drops + retry_drops) / offered_packets; 0 when nothing was
     /// offered (saturated runs).
@@ -124,8 +129,10 @@ struct multi_pair_result {
     double jain_index() const noexcept;
 };
 
-/// Run all pairs saturated-broadcast for `duration_us` under the given
-/// carrier-sense mode and measure delivery at each designated receiver.
+/// Run all pairs for `duration_us` under the given carrier-sense mode
+/// and measure delivery at each designated receiver. Throws
+/// std::logic_error if an unsaturated run loses track of a packet (the
+/// conservation identity on multi_pair_result fails).
 multi_pair_result run_multi_pair(const multi_pair_topology& topology,
                                  const multi_pair_config& config);
 

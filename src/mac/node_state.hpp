@@ -62,18 +62,16 @@ static_assert(sizeof(dcf_hot_state) == 64,
 /// node, released all at once with the pool.
 class node_state_pool {
 public:
-    dcf_hot_state* allocate() {
+    dcf_hot_state& allocate() {
         if (used_ == chunks_.size() * chunk_size) {
             chunks_.push_back(std::make_unique<chunk>());
         }
-        dcf_hot_state* block =
-            &(*chunks_[used_ / chunk_size])[used_ % chunk_size];
+        dcf_hot_state& block =
+            (*chunks_[used_ / chunk_size])[used_ % chunk_size];
         ++used_;
-        *block = dcf_hot_state{};
+        block = dcf_hot_state{};
         return block;
     }
-
-    std::size_t size() const noexcept { return used_; }
 
 private:
     static constexpr std::size_t chunk_size = 512;

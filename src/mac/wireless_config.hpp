@@ -102,16 +102,13 @@ struct cs_adaptation_config {
     /// EWMAs, in (0, 1]; 1 trusts each epoch alone.
     double ewma_weight = 0.25;
 
-    /// target_busy: busy-time-fraction set point. The threshold moves by
-    /// busy_gain_db * (busy EWMA - busy_target) per epoch, so a channel
+    /// target_busy: the busy-time-fraction set point is the
+    /// density-aware rule 1 - busy_idle_scale / contenders (clamped to
+    /// [0.10, 0.95]): with n saturated senders the idle fraction at a
+    /// well-tuned threshold shrinks like 1/n. The threshold moves by
+    /// busy_gain_db * (busy EWMA - set point) per epoch, so a channel
     /// sensed busier than the target raises (deafens) the threshold.
-    /// <= 0 (the default) selects the density-aware auto rule
-    /// 1 - busy_idle_scale / contenders: with n saturated senders the
-    /// idle fraction at a well-tuned threshold shrinks like 1/n.
-    double busy_target = 0.0;
-
-    /// target_busy: idle-fraction scale of the auto set point (see
-    /// busy_target). Calibrated so the equilibrium threshold tracks the
+    /// The scale is calibrated so the equilibrium threshold tracks the
     /// offline-tuned optimum across densities.
     double busy_idle_scale = 3.8;
 
@@ -139,25 +136,15 @@ struct cs_adaptation_config {
     /// offline concurrency/multiplexing crossing.
     double fp_gain_db = 8.0;
 
-    /// Optional exploration dither, dB, drawn uniformly in
-    /// [-jitter_db/2, +jitter_db/2] from the node's split RNG stream
-    /// each epoch. 0 keeps every policy fully deterministic.
-    double jitter_db = 0.0;
-
     /// True when the policy actually adapts (anything but `fixed`).
     bool enabled() const noexcept { return policy != cs_adapt_policy::fixed; }
 };
 
-/// Arrival process of a node's offered traffic (src/mac/traffic.hpp
-/// turns this into a traffic_source).
+/// Arrival process of a node's offered traffic.
 enum class traffic_model {
     saturated,  ///< always backlogged: a new frame the instant one
                 ///< finishes (the historical behaviour, and the default)
     poisson,    ///< memoryless arrivals at offered_load_pps
-    cbr,        ///< constant bit rate: fixed 1e6/offered_load_pps spacing
-    on_off,     ///< interrupted Poisson: exponential on/off envelope with
-                ///< Poisson arrivals while on, duty-cycle-scaled so the
-                ///< long-run mean is still offered_load_pps
 };
 
 /// Traffic + queue knobs of one node. The default (saturated, and any
@@ -166,14 +153,9 @@ enum class traffic_model {
 struct traffic_config {
     traffic_model model = traffic_model::saturated;
 
-    /// Long-run mean offered load, packets/second. Ignored by the
-    /// saturated model; must be > 0 for every other model.
+    /// Mean offered load, packets/second. Ignored by the saturated
+    /// model; must be finite and > 0 for Poisson arrivals.
     double offered_load_pps = 100.0;
-
-    /// on_off only: mean burst / silence durations of the exponential
-    /// envelope, microseconds.
-    double on_mean_us = 10'000.0;
-    double off_mean_us = 10'000.0;  ///< see on_mean_us
 
     /// Finite FIFO capacity: packets that may wait behind the one in
     /// service. Arrivals beyond this are dropped and counted

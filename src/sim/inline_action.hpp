@@ -32,8 +32,9 @@ namespace csense::sim {
 /// moved-from; invoking one is undefined (checked via operator bool).
 class inline_action {
 public:
-    /// Sized for the largest MAC closure (medium delivery wake: frame
-    /// by value + listener pointer + power + timestamp = 64 bytes).
+    /// The largest MAC closure is the DCF backoff timer (node pointer +
+    /// timer generation + member-function pointer = 32 bytes); the rest
+    /// capture a pointer and at most one scalar.
     static constexpr std::size_t capacity = 64;
     static constexpr std::size_t alignment = 16;
 

@@ -35,10 +35,9 @@ TEST(AdaptiveCsController, ThresholdClampedToConfiguredRange) {
     auto config = adapt_config(cs_adapt_policy::target_busy);
     config.min_threshold_dbm = -90.0;
     config.max_threshold_dbm = -75.0;
-    config.busy_target = 0.5;
+    config.busy_idle_scale = 1.0;  // set point 1 - 1/2 = 0.5 at 2 contenders
     config.busy_gain_db = 50.0;  // huge gain: every step wants to overshoot
-    mac::adaptive_cs_controller controller(config, -82.0, -65.0, -95.0, 2,
-                                           stats::rng(1));
+    mac::adaptive_cs_controller controller(config, -82.0, -65.0, -95.0, 2);
     // A pegged-busy channel drives the threshold up; it must stop at max.
     for (int i = 0; i < 20; ++i) {
         const double thr = controller.on_epoch(busy_sample(1.0));
@@ -59,18 +58,15 @@ TEST(AdaptiveCsController, InitialThresholdClampedToo) {
     auto config = adapt_config(cs_adapt_policy::aimd);
     config.min_threshold_dbm = -85.0;
     config.max_threshold_dbm = -70.0;
-    mac::adaptive_cs_controller low(config, -120.0, -65.0, -95.0, 2,
-                                    stats::rng(1));
+    mac::adaptive_cs_controller low(config, -120.0, -65.0, -95.0, 2);
     EXPECT_DOUBLE_EQ(low.threshold_dbm(), -85.0);
-    mac::adaptive_cs_controller high(config, -10.0, -65.0, -95.0, 2,
-                                     stats::rng(1));
+    mac::adaptive_cs_controller high(config, -10.0, -65.0, -95.0, 2);
     EXPECT_DOUBLE_EQ(high.threshold_dbm(), -70.0);
 }
 
 TEST(AdaptiveCsController, FixedPolicyNeverMoves) {
     mac::adaptive_cs_controller controller(
-        adapt_config(cs_adapt_policy::fixed), -82.0, -65.0, -95.0, 2,
-        stats::rng(1));
+        adapt_config(cs_adapt_policy::fixed), -82.0, -65.0, -95.0, 2);
     for (int i = 0; i < 10; ++i) {
         EXPECT_DOUBLE_EQ(controller.on_epoch(busy_sample(i % 2 ? 1.0 : 0.0)),
                          -82.0);
@@ -80,31 +76,22 @@ TEST(AdaptiveCsController, FixedPolicyNeverMoves) {
 TEST(AdaptiveCsController, RejectsBadConfig) {
     auto config = adapt_config(cs_adapt_policy::aimd);
     config.epoch_us = 0.0;
-    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
-                                             stats::rng(1)),
+    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2),
                  std::invalid_argument);
     config = adapt_config(cs_adapt_policy::aimd);
     config.min_threshold_dbm = -60.0;
     config.max_threshold_dbm = -90.0;
-    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
-                                             stats::rng(1)),
+    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2),
                  std::invalid_argument);
     config = adapt_config(cs_adapt_policy::aimd);
     config.ewma_weight = 0.0;
-    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
-                                             stats::rng(1)),
-                 std::invalid_argument);
-    config = adapt_config(cs_adapt_policy::aimd);
-    config.jitter_db = -1.0;
-    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2,
-                                             stats::rng(1)),
+    EXPECT_THROW(mac::adaptive_cs_controller(config, -82.0, -65.0, -95.0, 2),
                  std::invalid_argument);
 }
 
 TEST(AdaptiveCsController, InterferenceEwmaTracksSensedPower) {
     mac::adaptive_cs_controller controller(
-        adapt_config(cs_adapt_policy::target_busy), -82.0, -65.0, -95.0, 2,
-        stats::rng(1));
+        adapt_config(cs_adapt_policy::target_busy), -82.0, -65.0, -95.0, 2);
     // Starts at the noise floor, then tracks the fed sensed power.
     EXPECT_DOUBLE_EQ(controller.interference_ewma_mw(),
                      propagation::dbm_to_mw(-95.0));
@@ -117,8 +104,7 @@ TEST(AdaptiveCsController, InterferenceEwmaTracksSensedPower) {
 TEST(AdaptiveCsController, AimdBacksOffOnLoss) {
     auto config = adapt_config(cs_adapt_policy::aimd);
     config.ewma_weight = 1.0;  // trust each epoch alone
-    mac::adaptive_cs_controller controller(config, -82.0, -65.0, -95.0, 2,
-                                           stats::rng(1));
+    mac::adaptive_cs_controller controller(config, -82.0, -65.0, -95.0, 2);
     // Clean epoch: additive raise.
     mac::adaptive_cs_sample clean = busy_sample(0.3);
     const double raised = controller.on_epoch(clean);
@@ -159,7 +145,7 @@ TEST(AdaptiveCsRun, DisabledAdaptationIsByteIdentical) {
     wild.adapt.policy = cs_adapt_policy::fixed;
     wild.adapt.epoch_us = 1.0;
     wild.adapt.busy_gain_db = 1000.0;
-    wild.adapt.jitter_db = 50.0;
+    wild.adapt.busy_idle_scale = 50.0;
     const auto same = mac::run_multi_pair(topology, wild);
     ASSERT_EQ(plain.per_pair_pps.size(), same.per_pair_pps.size());
     for (std::size_t i = 0; i < plain.per_pair_pps.size(); ++i) {
@@ -175,7 +161,6 @@ TEST(AdaptiveCsRun, AdaptiveRunsAreDeterministic) {
     const auto topology = symmetric_two_pair();
     auto config = base_config();
     config.adapt.policy = cs_adapt_policy::target_busy;
-    config.adapt.jitter_db = 0.5;  // exercise the per-node dither streams
     const auto a = mac::run_multi_pair(topology, config);
     const auto b = mac::run_multi_pair(topology, config);
     ASSERT_EQ(a.final_cs_threshold_dbm.size(), 2u);
@@ -258,9 +243,9 @@ TEST(AdaptiveCsManager, RejectsEmptyLinksAndDoubleStart) {
     const auto s = net.add_node(sender_cfg);
     const auto r = net.add_node(sender_cfg);
     net.set_link_gain_db(s, r, -60.0);
-    EXPECT_THROW(mac::adaptive_cs_manager(net, {}, 1),
+    EXPECT_THROW(mac::adaptive_cs_manager(net, {}),
                  std::invalid_argument);
-    mac::adaptive_cs_manager manager(net, {{s, r}}, 1);
+    mac::adaptive_cs_manager manager(net, {{s, r}});
     manager.start();
     EXPECT_THROW(manager.start(), std::logic_error);
 }
@@ -276,7 +261,7 @@ TEST(AdaptiveCsManager, ControllersReadPerNodeConfig) {
     const auto s = net.add_node(narrow);
     const auto r = net.add_node(mac::mac_config{});
     net.set_link_gain_db(s, r, -60.0);
-    mac::adaptive_cs_manager manager(net, {{s, r}}, 1);
+    mac::adaptive_cs_manager manager(net, {{s, r}});
     manager.start();
     // The initial install already applies the per-node clamp.
     EXPECT_DOUBLE_EQ(net.node(s).cs_threshold_dbm(), -79.0);

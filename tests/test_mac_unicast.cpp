@@ -2,7 +2,6 @@
 // §5 adaptive RTS/CTS heuristic, and rate adaptation over ACK feedback.
 #include <gtest/gtest.h>
 
-#include "src/capacity/rate_adaptation.hpp"
 #include "src/capacity/rate_table.hpp"
 #include "src/mac/network.hpp"
 
@@ -172,15 +171,13 @@ TEST(Unicast, AdaptiveRtsImprovesHiddenTerminalGoodput) {
     EXPECT_GT(with, 2 * without + 10);
 }
 
-TEST(Unicast, SampleRateAdaptsOverAckFeedback) {
+TEST(Unicast, ArfAdaptsOverAckFeedback) {
     mac_config cfg;
     unicast_net u(cfg, 47);
     u.link(u.s1, u.r1, -90.0);  // SNR 20 dB: 24/36 Mb/s territory
-    csense::capacity::sample_rate adapter(csense::capacity::ofdm_rates(),
-                                          payload, 3);
     u.net.node(u.s1).set_traffic(traffic_mode::unicast, u.r1,
                                  rate_by_mbps(6.0), payload);
-    u.net.node(u.s1).set_rate_adaptation(&adapter);
+    u.net.node(u.s1).enable_rate_adaptation();
     u.net.run(4e6);
     const auto& stats = u.net.node(u.s1).stats();
     // Adaptation should land well above the 6 Mb/s floor (~ 460 pps):

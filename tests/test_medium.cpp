@@ -28,7 +28,7 @@ struct recorder final : medium_listener {
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
     void on_energy_busy(bool) override {}
-    void on_preamble(const frame&, double, sim::time_us) override {}
+    void on_preamble(sim::time_us) override {}
     void on_frame_received(const frame& f, double, double,
                            bool decoded) override {
         received.emplace_back(f.src, decoded);

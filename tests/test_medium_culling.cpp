@@ -40,7 +40,7 @@ struct recorder final : medium_listener {
     std::vector<std::pair<node_id, bool>> received;  ///< (src, decoded)
 
     void on_energy_busy(bool) override { ++energy_flips; }
-    void on_preamble(const frame&, double, sim::time_us) override {
+    void on_preamble(sim::time_us) override {
         ++preambles;
     }
     void on_frame_received(const frame& f, double, double,
@@ -364,7 +364,7 @@ struct oracle_probe final : medium_listener {
     void on_energy_busy(bool busy) override {
         if (flips != nullptr) flips->emplace_back(sim->now(), id, busy);
     }
-    void on_preamble(const frame&, double, sim::time_us) override {}
+    void on_preamble(sim::time_us) override {}
     void on_frame_received(const frame& f, double, double min_sinr_db,
                            bool) override {
         if (on_rx) on_rx(f, min_sinr_db);

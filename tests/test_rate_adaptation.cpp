@@ -1,8 +1,6 @@
-// Rate adaptation algorithms: ARF counters, SampleRate's expected-time
-// policy, and the thesis' best-fixed-rate oracle.
+// Rate adaptation: ARF's success/failure counters and the thesis'
+// best-fixed-rate oracle.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "src/capacity/rate_adaptation.hpp"
 
@@ -10,35 +8,27 @@ namespace {
 
 using namespace csense::capacity;
 
-TEST(FixedRate, NeverMoves) {
-    fixed_rate fixed(rate_by_mbps(18.0));
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_DOUBLE_EQ(fixed.next_rate().mbps, 18.0);
-        fixed.report(fixed.next_rate(), i % 2 == 0, 100.0);
-    }
-}
-
 TEST(Arf, ClimbsOnSuccess) {
     arf adapt(ofdm_rates(), 3, 2);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);
-    for (int i = 0; i < 3; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    for (int i = 0; i < 3; ++i) adapt.report(true);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 9.0);
-    for (int i = 0; i < 3 * 6; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    for (int i = 0; i < 3 * 6; ++i) adapt.report(true);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 54.0);
     // Saturates at the top.
-    for (int i = 0; i < 10; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    for (int i = 0; i < 10; ++i) adapt.report(true);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 54.0);
 }
 
 TEST(Arf, FallsOnFailure) {
     arf adapt(ofdm_rates(), 3, 2);
-    for (int i = 0; i < 6; ++i) adapt.report(adapt.next_rate(), true, 100.0);
+    for (int i = 0; i < 6; ++i) adapt.report(true);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 12.0);
-    adapt.report(adapt.next_rate(), false, 100.0);
-    adapt.report(adapt.next_rate(), false, 100.0);
+    adapt.report(false);
+    adapt.report(false);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 9.0);
     // Never below the floor.
-    for (int i = 0; i < 20; ++i) adapt.report(adapt.next_rate(), false, 100.0);
+    for (int i = 0; i < 20; ++i) adapt.report(false);
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);
 }
 
@@ -46,7 +36,7 @@ TEST(Arf, MixedTrafficResetsCounters) {
     arf adapt(ofdm_rates(), 3, 2);
     // success, success, fail, ... never 3 in a row: stays at the bottom.
     for (int i = 0; i < 30; ++i) {
-        adapt.report(adapt.next_rate(), (i % 3) != 2, 100.0);
+        adapt.report((i % 3) != 2);
     }
     EXPECT_DOUBLE_EQ(adapt.next_rate().mbps, 6.0);
 }
@@ -54,53 +44,6 @@ TEST(Arf, MixedTrafficResetsCounters) {
 TEST(Arf, RejectsBadConfig) {
     EXPECT_THROW(arf({}, 3, 2), std::invalid_argument);
     EXPECT_THROW(arf(ofdm_rates(), 0, 2), std::invalid_argument);
-}
-
-TEST(SampleRate, ConvergesToBestRateUnderLossProfile) {
-    // Synthetic link: delivery 100% up to 18 Mb/s, 60% at 24, 0% above.
-    sample_rate adapt(ofdm_rates(), 1400, 7);
-    csense::stats::rng gen(99);
-    for (int i = 0; i < 4000; ++i) {
-        const auto& rate = adapt.next_rate();
-        double delivery = 1.0;
-        if (rate.mbps == 24.0) delivery = 0.6;
-        if (rate.mbps > 24.0) delivery = 0.0;
-        adapt.report(rate, gen.uniform() < delivery,
-                     frame_airtime_us(rate, 1400));
-    }
-    // Expected time: 18M lossless = 647 us; 24M at 60% = 813 us; best is 18.
-    int hits_18 = 0;
-    for (int i = 0; i < 200; ++i) {
-        if (adapt.next_rate().mbps == 18.0) ++hits_18;
-    }
-    EXPECT_GT(hits_18, 150);  // mostly 18, some probes
-}
-
-TEST(SampleRate, PrefersFasterWhenLossFree) {
-    sample_rate adapt(ofdm_rates(), 1400, 3);
-    for (int i = 0; i < 2000; ++i) {
-        const auto& rate = adapt.next_rate();
-        adapt.report(rate, true, frame_airtime_us(rate, 1400));
-    }
-    int hits_54 = 0;
-    for (int i = 0; i < 200; ++i) {
-        if (adapt.next_rate().mbps == 54.0) ++hits_54;
-    }
-    EXPECT_GT(hits_54, 150);
-}
-
-TEST(SampleRate, ExpectedTimeInfinityWhenDead) {
-    sample_rate adapt(ofdm_rates(), 1400, 5);
-    for (int i = 0; i < 50; ++i) {
-        adapt.report(ofdm_rates()[7], false, 100.0);
-    }
-    EXPECT_TRUE(std::isinf(adapt.expected_time_us(7)));
-}
-
-TEST(SampleRate, ReportsUnknownRateRejected) {
-    sample_rate adapt(thesis_sweep_rates(), 1400, 5);
-    EXPECT_THROW(adapt.report(rate_by_mbps(54.0), true, 100.0),
-                 std::invalid_argument);
 }
 
 TEST(Oracle, PicksBaseRateAtLowSnr) {

@@ -1,15 +1,16 @@
-// Traffic sources and the per-node FIFO queue: arrival determinism,
-// offered-load accounting, queue overflow drops, and the sojourn-time
-// metrics the unsaturated campaigns report.
+// Arrivals and the per-node FIFO queue: arrival determinism, load
+// validation, offered-load accounting, queue overflow drops, packet
+// conservation, and the sojourn-time metrics the unsaturated campaigns
+// report.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <vector>
+#include <string>
+#include <tuple>
 
 #include "src/capacity/rate_table.hpp"
 #include "src/mac/multi_pair.hpp"
 #include "src/mac/network.hpp"
-#include "src/mac/traffic.hpp"
 
 namespace {
 
@@ -26,98 +27,6 @@ traffic_config poisson_cfg(double pps) {
     return tc;
 }
 
-std::vector<double> draw_gaps(traffic_source& source, std::uint64_t seed,
-                              int count) {
-    rng gen(seed);
-    std::vector<double> gaps;
-    gaps.reserve(count);
-    for (int i = 0; i < count; ++i) {
-        gaps.push_back(source.next_interarrival_us(gen));
-    }
-    return gaps;
-}
-
-TEST(TrafficSource, SaturatedIsTheDefaultAndFlagsItself) {
-    const auto source = make_traffic_source(traffic_config{});
-    EXPECT_TRUE(source->saturated());
-    EXPECT_STREQ(source->name(), "saturated");
-}
-
-TEST(TrafficSource, FactoryRejectsNonPositiveRates) {
-    traffic_config tc = poisson_cfg(0.0);
-    EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
-    tc = poisson_cfg(100.0);
-    tc.model = traffic_model::on_off;
-    tc.on_mean_us = 0.0;
-    EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
-}
-
-TEST(TrafficSource, FactoryRejectsNonFiniteRatesAndMeans) {
-    // An infinite rate draws 0 us interarrivals, so the run would
-    // livelock at one instant; an infinite on/off mean makes the duty
-    // cycle (and with it the peak rate) NaN.
-    const double inf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (const auto model :
-         {traffic_model::poisson, traffic_model::cbr, traffic_model::on_off}) {
-        for (const double load : {inf, nan}) {
-            traffic_config tc = poisson_cfg(load);
-            tc.model = model;
-            EXPECT_THROW(make_traffic_source(tc), std::invalid_argument)
-                << "model " << static_cast<int>(model) << " load " << load;
-        }
-    }
-    for (const double mean : {inf, nan}) {
-        traffic_config tc = poisson_cfg(100.0);
-        tc.model = traffic_model::on_off;
-        tc.on_mean_us = mean;
-        EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
-        tc.on_mean_us = 10'000.0;
-        tc.off_mean_us = mean;
-        EXPECT_THROW(make_traffic_source(tc), std::invalid_argument);
-    }
-}
-
-TEST(TrafficSource, PoissonIsSeedDeterministicWithTheRightMean) {
-    const auto a = make_traffic_source(poisson_cfg(1000.0));
-    const auto b = make_traffic_source(poisson_cfg(1000.0));
-    const auto gaps_a = draw_gaps(*a, 99, 20000);
-    const auto gaps_b = draw_gaps(*b, 99, 20000);
-    EXPECT_EQ(gaps_a, gaps_b);  // same seed => identical arrival sequence
-    double sum = 0.0;
-    for (const double g : gaps_a) sum += g;
-    EXPECT_NEAR(sum / gaps_a.size(), 1000.0, 20.0);  // mean 1e6/1000 us
-}
-
-TEST(TrafficSource, CbrIsFixedSpacingAndConsumesNoRandomness) {
-    traffic_config tc = poisson_cfg(500.0);
-    tc.model = traffic_model::cbr;
-    const auto source = make_traffic_source(tc);
-    // Different seeds, same sequence: CBR never touches the stream.
-    EXPECT_EQ(draw_gaps(*source, 1, 100),
-              draw_gaps(*make_traffic_source(tc), 2, 100));
-    EXPECT_DOUBLE_EQ(draw_gaps(*source, 3, 1).front(), 2000.0);
-}
-
-TEST(TrafficSource, OnOffKeepsTheOfferedMeanButBursts) {
-    traffic_config tc = poisson_cfg(1000.0);
-    tc.model = traffic_model::on_off;
-    tc.on_mean_us = 5'000.0;
-    tc.off_mean_us = 15'000.0;  // 25% duty cycle => 4x peak rate while on
-    const auto source = make_traffic_source(tc);
-    const auto gaps = draw_gaps(*source, 5, 40000);
-    double sum = 0.0;
-    int shorter_than_peak_mean = 0;
-    for (const double g : gaps) {
-        sum += g;
-        if (g < 250.0) ++shorter_than_peak_mean;
-    }
-    // Long-run mean stays the offered load...
-    EXPECT_NEAR(sum / gaps.size(), 1000.0, 60.0);
-    // ...but most gaps are short intra-burst ones (peak mean 250 us).
-    EXPECT_GT(shorter_than_peak_mean, gaps.size() / 2);
-}
-
 struct pair_net {
     network net;
     node_id s, r;
@@ -128,6 +37,61 @@ struct pair_net {
         net.set_link_gain_db(s, r, -60.0);
     }
 };
+
+TEST(TrafficSource, SaturatedIsTheDefaultAndFlagsItself) {
+    EXPECT_EQ(traffic_config{}.model, traffic_model::saturated);
+    EXPECT_TRUE(traffic_config{}.saturated());
+    EXPECT_FALSE(poisson_cfg(100.0).saturated());
+}
+
+TEST(TrafficSource, SetTrafficModelRejectsNonPositiveLoads) {
+    pair_net p(11);
+    dcf_node& node = p.net.node(p.s);
+    EXPECT_THROW(node.set_traffic_model(poisson_cfg(0.0)),
+                 std::invalid_argument);
+    EXPECT_THROW(node.set_traffic_model(poisson_cfg(-5.0)),
+                 std::invalid_argument);
+    traffic_config bad_queue = poisson_cfg(100.0);
+    bad_queue.queue_capacity = -1;
+    EXPECT_THROW(node.set_traffic_model(bad_queue), std::invalid_argument);
+    // The saturated model ignores the load knob.
+    traffic_config saturated;
+    saturated.offered_load_pps = 0.0;
+    EXPECT_NO_THROW(node.set_traffic_model(saturated));
+}
+
+TEST(TrafficSource, SetTrafficModelRejectsNonFiniteLoads) {
+    // An infinite rate draws 0 us interarrivals, so the run would
+    // livelock at one instant; NaN has no meaning at all.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    pair_net p(12);
+    for (const double load : {inf, -inf, nan}) {
+        EXPECT_THROW(p.net.node(p.s).set_traffic_model(poisson_cfg(load)),
+                     std::invalid_argument)
+            << "load " << load;
+    }
+}
+
+TEST(TrafficSource, PoissonIsSeedDeterministicWithTheRightMean) {
+    // 10^4 pps into a zero-length queue: the sender is busy most of the
+    // time, so most arrivals are dropped, but every one is counted.
+    auto offered = [](std::uint64_t seed) {
+        pair_net p(seed);
+        traffic_config tc = poisson_cfg(10'000.0);
+        tc.queue_capacity = 0;
+        p.net.node(p.s).set_traffic(traffic_mode::broadcast, broadcast_id,
+                                    rate_by_mbps(24.0), payload);
+        p.net.node(p.s).set_traffic_model(tc);
+        p.net.run(2e6);
+        return p.net.node(p.s).stats().offered_packets;
+    };
+    const auto count = offered(99);
+    EXPECT_EQ(count, offered(99));  // same seed => identical arrivals
+    EXPECT_NE(count, offered(100));
+    // Mean 2 * 10^4 arrivals, standard deviation ~141.
+    EXPECT_NEAR(static_cast<double>(count), 20'000.0, 600.0);
+}
 
 TEST(TrafficQueue, LowLoadDeliversTheOfferedPacketsWithSmallSojourns) {
     pair_net p(17);
@@ -183,21 +147,24 @@ TEST(TrafficQueue, SameSeedSameArrivalsAcrossRuns) {
 }
 
 TEST(TrafficQueue, IdleSenderRestartsOnTheNextArrival) {
-    // CBR at a very low rate: every packet finds an empty pipeline, so
-    // deliveries track arrivals one for one.
+    // Poisson at 20 pps: a packet takes under a millisecond to deliver,
+    // so almost every arrival finds the sender idle and must restart it.
+    // Deliveries then track arrivals one for one.
     pair_net p(29);
-    traffic_config tc = poisson_cfg(50.0);
-    tc.model = traffic_model::cbr;
     p.net.node(p.s).set_traffic(traffic_mode::unicast, p.r,
                                 rate_by_mbps(24.0), payload);
-    p.net.node(p.s).set_traffic_model(tc);
+    p.net.node(p.s).set_traffic_model(poisson_cfg(20.0));
     p.net.run(2e6);
-    const auto& stats = p.net.node(p.s).stats();
-    // Arrivals at 20 ms, 40 ms, ..., 2000 ms (run_until executes events
-    // at exactly the horizon); the last one never gets air time.
-    EXPECT_EQ(stats.offered_packets, 100u);
-    EXPECT_EQ(stats.data_acked, 99u);
-    EXPECT_EQ(p.net.node(p.s).queue_depth(), 0u);
+    const dcf_node& sender = p.net.node(p.s);
+    const auto& stats = sender.stats();
+    EXPECT_GT(stats.offered_packets, 20u);
+    EXPECT_EQ(stats.queue_drops, 0u);
+    EXPECT_EQ(stats.data_dropped, 0u);
+    EXPECT_EQ(sender.queue_depth(), 0u);
+    EXPECT_EQ(stats.data_acked + (sender.packet_in_service() ? 1 : 0),
+              stats.offered_packets);
+    // No packet waited behind another: every sojourn is one service time.
+    EXPECT_LT(sender.sojourn_times().max(), 2'000.0);
 }
 
 TEST(MultiPairTraffic, UnsaturatedRunReportsLatencyAndDropMetrics) {
@@ -234,6 +201,53 @@ TEST(MultiPairTraffic, RateAdaptationRequiresUnicast) {
     config.rate = &rate_by_mbps(24.0);
     config.rate_adapt = rate_adapt_mode::arf;  // but unicast left false
     EXPECT_THROW(run_multi_pair(topology, config), std::invalid_argument);
+}
+
+TEST(MultiPairTraffic, EveryOfferedPacketIsAccountedFor) {
+    // Conservation on every unsaturated cell: each offered packet was
+    // delivered, dropped at the queue or the retry limit, is still
+    // queued, or is in service. run_multi_pair throws std::logic_error
+    // when the identity fails; the test restates it so a failure names
+    // the cell. -95 dBm is the dead-network threshold (energy CCA stuck
+    // busy at the noise floor), -82 dBm a working one.
+    rng gen(6);
+    const auto topology = sample_multi_pair_topology(10, 300.0, 10.0, gen);
+    for (const bool unicast : {false, true}) {
+        for (const double load_pps : {100.0, 5'000.0}) {
+            for (const double threshold_dbm : {-95.0, -82.0}) {
+                multi_pair_config config;
+                config.rate = &rate_by_mbps(24.0);
+                config.alpha = 4.0;
+                config.radio.audibility_floor_dbm =
+                    config.radio.noise_floor_dbm - 20.0;
+                config.radio.cs_threshold_dbm = threshold_dbm;
+                config.duration_us = 3e5;
+                config.seed = 61;
+                config.unicast = unicast;
+                if (unicast) config.rate_adapt = rate_adapt_mode::arf;
+                config.traffic = poisson_cfg(load_pps);
+                config.traffic.queue_capacity = 16;
+                const std::string cell =
+                    std::string(unicast ? "unicast" : "broadcast") +
+                    " load " + std::to_string(load_pps) + " thr " +
+                    std::to_string(threshold_dbm);
+                multi_pair_result run;
+                ASSERT_NO_THROW(run = run_multi_pair(topology, config))
+                    << cell;
+                EXPECT_GT(run.offered_packets, 0u) << cell;
+                EXPECT_EQ(run.offered_packets,
+                          run.sojourn_us.count() + run.queue_drops +
+                              run.retry_drops + run.backlog_at_end +
+                              run.in_flight)
+                    << cell;
+                EXPECT_LE(run.in_flight, 10u) << cell;
+                EXPECT_LE(run.backlog_at_end, 10u * 16u) << cell;
+                if (load_pps > 1'000.0) {
+                    EXPECT_GT(run.queue_drops, 0u) << cell;  // overload
+                }
+            }
+        }
+    }
 }
 
 }  // namespace
