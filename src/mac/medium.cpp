@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "src/propagation/units.hpp"
 
@@ -17,6 +16,14 @@ constexpr double very_weak_gain_db = -500.0;
 /// never sees a non-positive argument even if compensated rounding dips
 /// below zero.
 constexpr double min_positive_mw = 1e-300;
+
+/// First entry of a key-sorted link list whose key is not below `key`.
+template <class Links>
+auto lower_link(Links& links, std::uint64_t key) {
+    return std::lower_bound(
+        links.begin(), links.end(), key,
+        [](const auto& l, std::uint64_t k) { return l.key < k; });
+}
 }  // namespace
 
 medium::medium(sim::simulator& sim, radio_config radio,
@@ -32,6 +39,14 @@ medium::medium(sim::simulator& sim, radio_config radio,
             "decision (per-node overrides, e.g. "
             "cs_adaptation_config::min_threshold_dbm, must be kept above "
             "the floor by the caller)");
+    }
+    // The start-edge CCA event reads the frame's slot, which the frame
+    // holds until it ends; every airtime exceeds one slot. Negated
+    // comparisons, so a NaN fails them too.
+    if (!(radio_.cca_delay_us >= 0.0 &&
+          radio_.cca_delay_us < capacity::ofdm_timing::slot_us)) {
+        throw std::invalid_argument(
+            "medium: cca_delay_us must be finite, >= 0 and below one slot");
     }
     noise_mw_ = propagation::dbm_to_mw(radio_.noise_floor_dbm);
     preamble_threshold_mw_ =
@@ -52,7 +67,7 @@ void medium::reserve_nodes(std::size_t nodes) {
     ext_mw_.reserve(nodes);
     audible_count_.reserve(nodes);
     cca_.reserve(nodes);
-    sparse_gains_.reserve(nodes * 8);
+    links_.reserve(nodes * 8);
 }
 
 node_id medium::add_node(medium_listener& listener, double cs_threshold_dbm) {
@@ -93,7 +108,17 @@ void medium::set_link_gain_db(node_id a, node_id b, double gain_db) {
             "medium::set_link_gain_db: neighbor lists are frozen once "
             "transmissions begin");
     }
-    sparse_gains_[link_key(a, b)] = gain_db;
+    const std::uint64_t key = link_key(a, b);
+    if (links_.empty() || links_.back().key < key) {
+        links_.push_back({key, gain_db});
+        return;
+    }
+    const auto it = lower_link(links_, key);
+    if (it->key == key) {
+        it->gain_db = gain_db;
+    } else {
+        links_.insert(it, {key, gain_db});
+    }
 }
 
 double medium::link_gain_db(node_id a, node_id b) const {
@@ -101,8 +126,10 @@ double medium::link_gain_db(node_id a, node_id b) const {
     if (a >= n || b >= n || a == b) {
         throw std::invalid_argument("medium::link_gain_db: bad link");
     }
-    const auto it = sparse_gains_.find(link_key(a, b));
-    return it != sparse_gains_.end() ? it->second : very_weak_gain_db;
+    const std::uint64_t key = link_key(a, b);
+    const auto it = lower_link(links_, key);
+    return it != links_.end() && it->key == key ? it->gain_db
+                                                : very_weak_gain_db;
 }
 
 double medium::rx_power_dbm(node_id tx, node_id rx) const {
@@ -139,25 +166,23 @@ void medium::freeze_topology() {
     const auto audible = [&](double gain_db) {
         return radio_.tx_power_dbm + gain_db >= effective_floor_dbm;
     };
-    // csense-lint: allow(unordered-iteration) -- pure degree counting:
-    // each link bumps two integer counters, so the fold is order-free.
-    for (const auto& [key, gain] : sparse_gains_) {
+    for (const auto& [key, gain] : links_) {
         if (!audible(gain)) continue;
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xffffffffULL);
-        ++nbr_offset_[a + 1];
-        ++nbr_offset_[b + 1];
+        ++nbr_offset_[(key >> 32) + 1];
+        ++nbr_offset_[(key & 0xffffffffULL) + 1];
     }
     std::partial_sum(nbr_offset_.begin(), nbr_offset_.end(),
                      nbr_offset_.begin());
     nbr_id_.resize(nbr_offset_[n]);
     nbr_rx_mw_.resize(nbr_offset_[n]);
+    // Counting-sort fill in key order: row v first receives every lower
+    // neighbor a (from links (a, v), ascending in a), then every higher
+    // one (from links (v, b), ascending in b), so each row comes out
+    // sorted by neighbor id and fan-out order - with it fading draws
+    // and delivery callbacks - is a function of the topology alone.
     std::vector<std::uint32_t> cursor(nbr_offset_.begin(),
                                       nbr_offset_.end() - 1);
-    // csense-lint: allow(unordered-iteration) -- CSR fill in hash order
-    // is safe because every row is re-sorted by neighbor id below, so
-    // the frozen lists are a function of the topology alone.
-    for (const auto& [key, gain] : sparse_gains_) {
+    for (const auto& [key, gain] : links_) {
         if (!audible(gain)) continue;
         const auto a = static_cast<node_id>(key >> 32);
         const auto b = static_cast<node_id>(key & 0xffffffffULL);
@@ -167,23 +192,6 @@ void medium::freeze_topology() {
         nbr_rx_mw_[cursor[a]++] = mw;
         nbr_id_[cursor[b]] = a;
         nbr_rx_mw_[cursor[b]++] = mw;
-    }
-    // Sort each row by neighbor id (the map iterates in hash order) so
-    // fan-out order - and with it fading draws and delivery callbacks -
-    // is a function of the topology alone.
-    std::vector<std::pair<node_id, double>> row;
-    for (std::size_t v = 0; v < n; ++v) {
-        const std::size_t begin = nbr_offset_[v];
-        const std::size_t end = nbr_offset_[v + 1];
-        row.clear();
-        for (std::size_t s = begin; s < end; ++s) {
-            row.emplace_back(nbr_id_[s], nbr_rx_mw_[s]);
-        }
-        std::sort(row.begin(), row.end());
-        for (std::size_t s = begin; s < end; ++s) {
-            nbr_id_[s] = row[s - begin].first;
-            nbr_rx_mw_[s] = row[s - begin].second;
-        }
     }
 }
 
@@ -233,7 +241,7 @@ void medium::report_flip(node_id n) {
     listeners_[n]->on_energy_busy(cca_[n].busy);
 }
 
-void medium::notify_neighbors_after_cca(node_id src) {
+void medium::schedule_cca(node_id src, std::size_t tx_index) {
     // Clear-channel assessment takes time: nodes learn about a power
     // change cca_delay_us after it happens, and see the power as it is
     // *then*. The stale window is what permits slot collisions. Only
@@ -241,7 +249,19 @@ void medium::notify_neighbors_after_cca(node_id src) {
     // move, so only they sense it; the transmitter's own external power
     // did not change, so it does not. A listener hears only flips of
     // its energy CCA.
-    sim_.schedule_in(radio_.cca_delay_us, [this, src] {
+    sim_.schedule_in(radio_.cca_delay_us, [this, src, tx_index] {
+        if (tx_index != no_preambles) {
+            // Preamble detection shares the lag and comes first. The
+            // frame still holds its slot (airtime > cca_delay_us), but a
+            // listener may re-enter start_transmission and grow the slot
+            // table, so each step re-reads the slot by index.
+            const sim::time_us until = transmissions_[tx_index].end;
+            for (std::size_t k = 0;
+                 k < transmissions_[tx_index].decodable.size(); ++k) {
+                listeners_[transmissions_[tx_index].decodable[k]]
+                    ->on_preamble(until);
+            }
+        }
         const sim::time_us now = sim_.now();
         const std::size_t begin = nbr_offset_[src];
         const std::size_t end = nbr_offset_[src + 1];
@@ -264,32 +284,6 @@ void medium::start_transmission(node_id src, const frame& f,
     const sim::time_us now = sim_.now();
     const std::size_t begin = nbr_offset_[src];
     const std::size_t end = nbr_offset_[src + 1];
-    // Pathology accounting: did this start overlap an audible frame?
-    bool audible = false;
-    bool mutual_recent_start = false;
-    for (std::size_t s = begin; s < end; ++s) {
-        const std::int32_t ti = tx_slot_by_node_[nbr_id_[s]];
-        if (ti < 0) continue;
-        // Unfaded sensed power, symmetric in (src, neighbor): one
-        // precomputed row value answers both directions of the
-        // mutual-audibility check.
-        if (nbr_rx_mw_[s] >= cs_threshold_mw_) {
-            audible = true;
-            if (now - transmissions_[static_cast<std::size_t>(ti)].start <=
-                capacity::ofdm_timing::slot_us) {
-                mutual_recent_start = true;
-            }
-        }
-    }
-    if (audible) {
-        ++counters_.busy_starts;
-        if (mutual_recent_start) {
-            ++counters_.slot_collisions;
-        } else if (cs_said_idle) {
-            ++counters_.chain_collisions;
-        }
-    }
-
     // A transmitter abandons any reception in progress.
     lock_by_node_[src].reset();
 
@@ -308,57 +302,76 @@ void medium::start_transmission(node_id src, const frame& f,
     t.start = now;
     t.end = now + f.airtime_us();
     t.rx_mw.clear();
-    if (radio_.fading_sigma_db > 0.0) {
-        // Fade draws only for the audible neighbors, in row (node-id)
-        // order, folded straight into the precomputed rx power.
-        t.rx_mw.resize(end - begin);
-        for (std::size_t s = begin; s < end; ++s) {
-            const double fade_db = radio_.fading_sigma_db * rng_.normal();
-            t.rx_mw[s - begin] =
-                nbr_rx_mw_[s] * propagation::db_to_linear(fade_db);
-        }
-    }
+    t.decodable.clear();
+    const bool fading = radio_.fading_sigma_db > 0.0;
+    if (fading) t.rx_mw.resize(end - begin);
     tx_slot_by_node_[src] = static_cast<std::int32_t>(index);
 
-    const double* row = row_rx_mw(t);
-    // Incremental power accounting: this frame's rx power joins each
-    // neighbor's running external sum.
+    // One pass over the row. Each step reads and writes only neighbor
+    // n's own sum, lock and slot, and fade draws stay in row order, so
+    // the pass equals separate passes for each concern.
+    bool audible = false;
+    bool mutual_recent_start = false;
     for (std::size_t s = begin; s < end; ++s) {
         const node_id n = nbr_id_[s];
-        ext_mw_[n].add(row[s - begin]);
+        double power_mw = nbr_rx_mw_[s];
+        if (fading) {
+            // Fade draws only for the audible neighbors, folded straight
+            // into the precomputed rx power.
+            const double fade_db = radio_.fading_sigma_db * rng_.normal();
+            power_mw *= propagation::db_to_linear(fade_db);
+            t.rx_mw[s - begin] = power_mw;
+        }
+        // Incremental power accounting: this frame's rx power joins the
+        // neighbor's running external sum.
+        ext_mw_[n].add(power_mw);
         ++audible_count_[n];
-    }
-    // New interference hits ongoing receptions at the neighbors.
-    for (std::size_t s = begin; s < end; ++s) {
-        auto& lock = lock_by_node_[nbr_id_[s]];
-        if (!lock) continue;
-        const double interference = std::max(
-            external_power_mw(lock->rx) - lock->signal_mw, min_positive_mw);
-        lock->max_interference_mw =
-            std::max(lock->max_interference_mw, interference);
-    }
-    // Then candidate neighbors may lock onto this frame.
-    for (std::size_t s = begin; s < end; ++s) {
-        const node_id n = nbr_id_[s];
-        if (tx_slot_by_node_[n] >= 0) continue;  // deaf while transmitting
-        const double power_mw = row[s - begin];
+        const std::int32_t ti = tx_slot_by_node_[n];
+        if (ti >= 0) {
+            // Pathology accounting: did this start overlap an audible
+            // frame? Unfaded sensed power, symmetric in (src, neighbor):
+            // one precomputed row value answers both directions of the
+            // mutual-audibility check. A transmitting neighbor is deaf
+            // and holds no lock, so nothing else applies to it.
+            if (nbr_rx_mw_[s] >= cs_threshold_mw_) {
+                audible = true;
+                if (now - transmissions_[static_cast<std::size_t>(ti)].start <=
+                    capacity::ofdm_timing::slot_us) {
+                    mutual_recent_start = true;
+                }
+            }
+            continue;
+        }
+        // New interference hits an ongoing reception at the neighbor.
+        auto& lock = lock_by_node_[n];
+        if (lock) {
+            const double interference = std::max(
+                external_power_mw(n) - lock->signal_mw, min_positive_mw);
+            lock->max_interference_mw =
+                std::max(lock->max_interference_mw, interference);
+        }
+        // Then the neighbor may lock onto this frame.
         if (power_mw < preamble_threshold_mw_) continue;
         const double interference =
             std::max(external_power_mw(n) - power_mw, min_positive_mw);
         const double power_dbm = propagation::mw_to_dbm(power_mw);
         const double sinr_db = power_dbm - propagation::mw_to_dbm(interference);
         if (sinr_db < radio_.preamble_capture_snr_db) continue;
-        // The preamble is decodable at this node: announce it (carrier
-        // sense hook) after the CCA lag, and lock if the receiver is free.
-        medium_listener* listener = listeners_[n];
-        const sim::time_us until = t.end;
-        sim_.schedule_in(radio_.cca_delay_us,
-                         [listener, until] { listener->on_preamble(until); });
-        if (!lock_by_node_[n]) {
-            lock_by_node_[n] = reception{index, n, power_mw, interference};
+        // The preamble is decodable at this node: the CCA event
+        // announces it (carrier-sense hook), and the node locks now if
+        // it is free.
+        t.decodable.push_back(n);
+        if (!lock) lock = reception{index, n, power_mw, interference};
+    }
+    if (audible) {
+        ++counters_.busy_starts;
+        if (mutual_recent_start) {
+            ++counters_.slot_collisions;
+        } else if (cs_said_idle) {
+            ++counters_.chain_collisions;
         }
     }
-    notify_neighbors_after_cca(src);
+    schedule_cca(src, index);
 
     sim_.schedule_at(t.end, [this, index] { end_transmission(index); });
 }
@@ -374,6 +387,14 @@ void medium::end_transmission(std::size_t tx_index) {
     const double* row = row_rx_mw(t);
     const std::size_t begin = nbr_offset_[src];
     const std::size_t end = nbr_offset_[src + 1];
+    // One pass: each neighbor drops the frame's power and settles a
+    // reception locked to it (only audible neighbors can hold one:
+    // locking requires power above the preamble sensitivity, which sits
+    // above the audibility floor). PER draws stay in row order.
+    // end_transmission only runs from a scheduled event, never nested,
+    // so the member scratch is free.
+    std::vector<delivery>& deliveries = delivery_scratch_;
+    deliveries.clear();
     for (std::size_t s = begin; s < end; ++s) {
         const node_id n = nbr_id_[s];
         ext_mw_[n].sub(row[s - begin]);
@@ -382,15 +403,7 @@ void medium::end_transmission(std::size_t tx_index) {
             // drop any accumulated rounding with it.
             ext_mw_[n].reset();
         }
-    }
-    // Settle receptions locked to this frame: only audible neighbors can
-    // hold one (locking requires power above the preamble sensitivity,
-    // which sits above the audibility floor). end_transmission only runs
-    // from a scheduled event, never nested, so the member scratch is free.
-    std::vector<delivery>& deliveries = delivery_scratch_;
-    deliveries.clear();
-    for (std::size_t s = begin; s < end; ++s) {
-        auto& lock = lock_by_node_[nbr_id_[s]];
+        auto& lock = lock_by_node_[n];
         if (!lock || lock->tx_index != tx_index) continue;
         const double signal_dbm = propagation::mw_to_dbm(lock->signal_mw);
         const double sinr_db =
@@ -409,7 +422,7 @@ void medium::end_transmission(std::size_t tx_index) {
         listeners_[d.rx]->on_frame_received(ended, d.power_dbm, d.sinr,
                                             d.decoded);
     }
-    notify_neighbors_after_cca(src);
+    schedule_cca(src, no_preambles);
     listeners_[src]->on_tx_complete(ended);
 }
 

@@ -13,17 +13,27 @@
 //  - nodes that are transmitting hear nothing - the root of the
 //    "chain collision" pathology for preamble-based carrier sense.
 //
-// Scaling model: the topology freezes into per-node audibility
-// neighbor lists (CSR) at the first transmission, per-link rx powers
-// are precomputed in mW, and each node carries an incremental
-// Kahan-compensated running external-power sum updated on tx start/end
-// - so CCA callbacks, preamble fan-out, and SINR tracking touch only
-// audible neighbors: O(k) per event. The per-neighbor work is linear
-// arithmetic, with no logarithm: energy CCA compares the sensed mW
-// against each node's exact mW threshold boundary and calls the
-// listener only when the busy state flips, and locked receptions track
-// their worst interference in mW, converted to a dB SINR once when the
-// frame settles. radio_config::audibility_floor_dbm
+// Scaling model: link gains are kept as one list of (link, gain)
+// sorted by link key, so a caller that sets links in key order appends
+// in O(1) and a lookup is a binary search. The topology freezes at the
+// first transmission: one counting-sort pass over that list in key
+// order builds per-node audibility neighbor lists (CSR) whose rows come
+// out sorted by neighbor id, with per-link rx powers precomputed in mW.
+// Each node carries an incremental Kahan-compensated running
+// external-power sum updated on tx start/end - so CCA callbacks,
+// preamble fan-out, and SINR tracking touch only audible neighbors:
+// O(k) per event. Each frame edge walks the sender's row once: a start
+// does the pathology check, the power add, the SINR update of existing
+// locks and the preamble/lock decision for each neighbor in the same
+// pass, and an end removes the power and settles the locks on the frame
+// in one pass. Each edge also schedules one event: its CCA event, which
+// after cca_delay_us first announces the start's decodable preambles
+// (kept in the frame's slot, in row order) and then lets the neighbors
+// sense the new power. The per-neighbor work is linear arithmetic: energy
+// CCA compares the sensed mW against each node's exact mW threshold
+// boundary and calls the listener only when the busy state flips, and
+// locked receptions track their worst interference in mW, converted to
+// a dB SINR once when the frame settles. radio_config::audibility_floor_dbm
 // decides which links are audible. Left at its sentinel, every link
 // with a gain set is audible and each row holds all N - 1 other nodes;
 // set, links whose received power falls below the floor are treated as
@@ -38,7 +48,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/capacity/error_models.hpp"
@@ -92,7 +101,10 @@ class medium {
 public:
     /// Throws std::invalid_argument when the audibility floor is enabled
     /// but not below the preamble sensitivity (culling must only drop
-    /// power that is negligible for every CCA decision).
+    /// power that is negligible for every CCA decision), and unless
+    /// cca_delay_us is finite, >= 0 and below one slot (which also keeps
+    /// it below the shortest airtime, so a frame's slot outlives its
+    /// start-edge CCA event).
     medium(sim::simulator& sim, radio_config radio,
            const capacity::error_model& errors, std::uint64_t seed);
 
@@ -109,7 +121,10 @@ public:
     std::size_t node_count() const noexcept { return listeners_.size(); }
 
     /// Symmetric link gain in dB (negative; rx = tx_power + gain).
-    /// Throws std::invalid_argument on an unknown node id, a == b or a
+    /// Setting a link again overwrites its gain. Links set in key order
+    /// ((min, max) node id ascending) append in O(1); any other order
+    /// costs an insertion into the sorted link list. Throws
+    /// std::invalid_argument on an unknown node id, a == b or a
     /// non-finite gain, and std::logic_error when setting a gain after
     /// the topology froze.
     void set_link_gain_db(node_id a, node_id b, double gain_db);
@@ -169,6 +184,10 @@ private:
         /// src. Empty without fading (the frame then reads the
         /// precomputed unfaded row directly).
         std::vector<double> rx_mw;
+        /// Neighbors that decoded the preamble, in row order; announced
+        /// by the start-edge CCA event. Both vectors keep their capacity
+        /// when the slot is reused.
+        std::vector<node_id> decodable;
     };
 
     struct reception {
@@ -205,7 +224,12 @@ private:
     void freeze_topology();
     /// Per-slot rx power (mW) of a transmission over its CSR row.
     const double* row_rx_mw(const transmission& t) const;
-    void notify_neighbors_after_cca(node_id src);
+    /// The CCA event of a frame edge: after cca_delay_us, announce the
+    /// decodable preambles of the frame in slot `tx_index` (a start
+    /// edge; no_preambles for an end edge), then let src's neighbors
+    /// sense the changed power.
+    void schedule_cca(node_id src, std::size_t tx_index);
+    static constexpr std::size_t no_preambles = ~std::size_t{0};
     /// Tells node n's listener about a busy flip.
     void report_flip(node_id n);
 
@@ -215,9 +239,14 @@ private:
     stats::rng rng_;
     std::vector<medium_listener*> listeners_;
 
-    // Sparse symmetric gains keyed by (min, max) node id; stays
+    /// One symmetric link: key (min, max) node id, gain in dB.
+    struct link {
+        std::uint64_t key;
+        double gain_db;
+    };
+    // Every link with a gain set, sorted by key (unique keys); stays
     // authoritative for link_gain_db after the freeze.
-    std::unordered_map<std::uint64_t, double> sparse_gains_;
+    std::vector<link> links_;
     bool frozen_ = false;
     // CSR audibility neighbor lists, built at freeze time: row n holds
     // the ids that can hear n (and that n can hear - gains are

@@ -1,5 +1,6 @@
 #include "src/mac/multi_pair.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -178,8 +179,11 @@ multi_pair_result run_multi_pair(const multi_pair_topology& topology,
 
     const auto nodes = node_positions(topology);
     // Only set the gains the floor keeps: with the floor on, the spatial
-    // grid finds them in O(N * k) instead of O(N^2).
-    for (const auto& [a, b] : audible_link_pairs(topology, config)) {
+    // grid finds them in O(N * k) instead of O(N^2). Sorted once, the
+    // pairs arrive in the medium's link-key order and each set appends.
+    auto links = audible_link_pairs(topology, config);
+    std::sort(links.begin(), links.end());
+    for (const auto& [a, b] : links) {
         net.set_link_gain_db(a, b, config.gain_db(distance(nodes[a], nodes[b])));
     }
     for (std::size_t i = 0; i < n; ++i) {

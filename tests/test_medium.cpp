@@ -5,9 +5,13 @@
 //    reception holds must never dangle);
 //  - a transmitter abandons any reception in progress, the abandoned
 //    frame is not delivered, and the receiver's lock state resets so it
-//    can lock onto later frames.
+//    can lock onto later frames;
+//  - each frame edge costs one event: the start edge's preamble
+//    announcements ride on its CCA event, in node-id order, ahead of
+//    the energy-CCA flips.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -149,6 +153,88 @@ TEST(Medium, AbandonedFrameStillCountsAsInterferenceElsewhere) {
     EXPECT_FALSE(c.received[0].second)
         << "A's frame must stay on the air as interference at C even "
            "after B abandoned its own reception of it";
+}
+
+/// One listener callback, as seen by edge_log.
+struct edge_call {
+    enum kind_t { preamble, energy_busy } kind;
+    node_id node;
+    sim::time_us at;
+};
+
+/// Listener that appends its preamble and energy-CCA callbacks, with the
+/// simulated time, to a log shared by every node.
+struct edge_log final : medium_listener {
+    const sim::simulator* sim = nullptr;
+    node_id id = 0;
+    std::vector<edge_call>* log = nullptr;
+    sim::time_us preamble_until = -1.0;
+
+    void on_energy_busy(bool) override {
+        log->push_back({edge_call::energy_busy, id, sim->now()});
+    }
+    void on_preamble(sim::time_us until) override {
+        preamble_until = until;
+        log->push_back({edge_call::preamble, id, sim->now()});
+    }
+    void on_frame_received(const frame&, double, double, bool) override {}
+    void on_tx_complete(const frame&) override {}
+};
+
+TEST(Medium, PreamblesFoldIntoTheStartEdgeCcaEvent) {
+    // Node 0 sends one isolated frame to three neighbors; the first
+    // `decodable` of them hear it at -45 dBm, the rest at -100 dBm
+    // (below the preamble sensitivity and the energy threshold). The
+    // links are set in reverse order, so node-id order in the log comes
+    // from the neighbor rows, not from the order of the calls.
+    for (const int decodable : {0, 1, 2, 3}) {
+        sim::simulator sim;
+        const radio_config radio;
+        const capacity::logistic_per_model errors;
+        medium air(sim, radio, errors, 7);
+        std::vector<edge_call> log;
+        std::vector<edge_log> nodes(4);
+        for (node_id n = 0; n < nodes.size(); ++n) {
+            nodes[n].sim = &sim;
+            nodes[n].id = n;
+            nodes[n].log = &log;
+            ASSERT_EQ(air.add_node(nodes[n], radio.cs_threshold_dbm), n);
+        }
+        for (node_id n = 3; n >= 1; --n) {
+            const bool hears = static_cast<int>(n) <= decodable;
+            air.set_link_gain_db(0, n, hears ? -60.0 : -115.0);
+        }
+
+        const frame f = data_frame(0, 6.0);
+        air.start_transmission(0, f, true);
+        const sim::time_us end = f.airtime_us();
+        sim.run_all();
+
+        // One event per edge, whatever the number of decodable
+        // neighbors: the start's CCA event, the end, the end's CCA event.
+        EXPECT_EQ(sim.events_executed(), 3u) << decodable << " decodable";
+
+        std::vector<std::tuple<edge_call::kind_t, node_id, sim::time_us>>
+            expected;
+        for (node_id n = 1; static_cast<int>(n) <= decodable; ++n) {
+            expected.emplace_back(edge_call::preamble, n, radio.cca_delay_us);
+        }
+        for (node_id n = 1; static_cast<int>(n) <= decodable; ++n) {
+            expected.emplace_back(edge_call::energy_busy, n,
+                                  radio.cca_delay_us);
+        }
+        for (node_id n = 1; static_cast<int>(n) <= decodable; ++n) {
+            expected.emplace_back(edge_call::energy_busy, n,
+                                  end + radio.cca_delay_us);
+        }
+        std::vector<std::tuple<edge_call::kind_t, node_id, sim::time_us>>
+            actual;
+        for (const edge_call& c : log) actual.emplace_back(c.kind, c.node, c.at);
+        EXPECT_EQ(actual, expected) << decodable << " decodable";
+        for (node_id n = 1; static_cast<int>(n) <= decodable; ++n) {
+            EXPECT_EQ(nodes[n].preamble_until, end);
+        }
+    }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // over random topologies. Also the unified bounds checking across the
 // medium's public surface, and the log-free fan-out: energy CCA decided
 // in mW against an exact threshold boundary and SINR tracked as the
-// worst interference in mW, both pinned to their dBm-domain oracles.
+// worst interference in mW, both pinned to their dBm-domain oracles,
+// and the sorted link list: the order links are set in never changes a
+// run, and setting a link again overwrites it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -106,6 +108,26 @@ TEST(MediumValidation, AudibilityFloorMustSitBelowCcaThresholds) {
     radio.cs_threshold_dbm = -82.0;
     radio.audibility_floor_dbm = radio.noise_floor_dbm - 20.0;
     EXPECT_NO_THROW(medium(sim, radio, errors, 1));
+}
+
+TEST(MediumValidation, CcaDelayMustBeFiniteNonNegativeAndBelowASlot) {
+    // The start edge's CCA event reads its frame's slot, which the frame
+    // holds only until it ends; a delay under one slot (9 us) is also
+    // under the shortest airtime (24 us).
+    sim::simulator sim;
+    const capacity::logistic_per_model errors;
+    radio_config radio;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0,
+                             -0.001, capacity::ofdm_timing::slot_us, 12.0}) {
+        radio.cca_delay_us = bad;
+        EXPECT_THROW(medium(sim, radio, errors, 1), std::invalid_argument)
+            << bad;
+    }
+    for (const double good : {0.0, 4.0, 8.99}) {
+        radio.cca_delay_us = good;
+        EXPECT_NO_THROW(medium(sim, radio, errors, 1)) << good;
+    }
 }
 
 TEST(MediumValidation, AdaptiveClampMustStayAboveTheFloor) {
@@ -321,6 +343,150 @@ TEST(MediumCulling, GridLinkingMatchesBruteForce) {
     // Over-inclusion is allowed only in a hair's width at the range
     // boundary; anything more means the grid is not actually culling.
     EXPECT_LE(grid_set.size(), audible + 2);
+}
+
+/// What a run with hand-set links leaves behind: the medium counters,
+/// each receiver's decoded count from its sender, and every row size.
+struct link_order_run {
+    medium_counters counters;
+    std::vector<std::uint64_t> decoded;
+    std::vector<std::size_t> degree;
+};
+
+/// Builds the network run_multi_pair builds for `topology` (saturated
+/// broadcast, sender i is node 2i and receiver i node 2i + 1), but sets
+/// the link gains in the order `links` lists them.
+link_order_run run_with_link_order(
+    const multi_pair_topology& topology, const multi_pair_config& config,
+    const std::vector<std::pair<node_id, node_id>>& links) {
+    const std::size_t pairs = topology.pairs();
+    std::vector<multi_pair_topology::position> pos;
+    network net(config.radio, config.seed);
+    mac_config sender_cfg;
+    sender_cfg.sense = config.sense;
+    for (std::size_t i = 0; i < pairs; ++i) {
+        net.add_node(sender_cfg);
+        net.add_node(mac_config{});
+        pos.push_back(topology.senders[i]);
+        pos.push_back(topology.receivers[i]);
+    }
+    for (const auto& [a, b] : links) {
+        net.set_link_gain_db(
+            a, b,
+            config.gain_db(std::hypot(pos[a].x - pos[b].x, pos[a].y - pos[b].y)));
+    }
+    for (std::size_t i = 0; i < pairs; ++i) {
+        net.node(static_cast<node_id>(2 * i))
+            .set_traffic(traffic_mode::broadcast, broadcast_id, *config.rate,
+                         config.payload_bytes);
+    }
+    net.run(config.duration_us);
+    link_order_run out;
+    out.counters = net.air().counters();
+    for (std::size_t i = 0; i < pairs; ++i) {
+        const auto& by_src =
+            net.node(static_cast<node_id>(2 * i + 1)).stats().rx_decoded_by_src;
+        const auto it = by_src.find(static_cast<node_id>(2 * i));
+        out.decoded.push_back(it != by_src.end() ? it->second : 0);
+    }
+    for (node_id n = 0; n < 2 * pairs; ++n) {
+        out.degree.push_back(net.air().neighbor_count(n));
+    }
+    return out;
+}
+
+TEST(MediumTopology, LinkOrderDoesNotChangeTheRun) {
+    // The medium keeps its links sorted by key however they arrive, so
+    // the frozen rows - and with them fan-out order, fade draws and
+    // delivery callbacks - are a function of the topology alone. With
+    // fading on, a row out of node-id order would hand the fade draws
+    // to different links and move every counter below.
+    stats::rng gen(17);
+    const auto topology = mac::sample_multi_pair_topology(15, 250.0, 10.0, gen);
+    for (const double sigma_db : {0.0, 2.0}) {
+        auto config = sparse_arena_config(true);
+        config.radio.fading_sigma_db = sigma_db;
+        config.duration_us = 2e5;
+        config.seed = 99;
+        auto links = mac::audible_link_pairs(topology, config);
+        std::sort(links.begin(), links.end());
+        const auto sorted = run_with_link_order(topology, config, links);
+
+        // Fisher-Yates on the repo's RNG, then swap some endpoints too.
+        stats::rng shuffle_gen(5);
+        for (std::size_t i = links.size(); i > 1; --i) {
+            std::swap(links[i - 1], links[shuffle_gen.uniform_int(i)]);
+        }
+        for (std::size_t i = 0; i < links.size(); i += 2) {
+            std::swap(links[i].first, links[i].second);
+        }
+        const auto shuffled = run_with_link_order(topology, config, links);
+
+        ASSERT_GT(sorted.counters.transmissions, 0u);
+        EXPECT_EQ(shuffled.counters.transmissions, sorted.counters.transmissions);
+        EXPECT_EQ(shuffled.counters.slot_collisions,
+                  sorted.counters.slot_collisions);
+        EXPECT_EQ(shuffled.counters.chain_collisions,
+                  sorted.counters.chain_collisions);
+        EXPECT_EQ(shuffled.counters.busy_starts, sorted.counters.busy_starts);
+        EXPECT_EQ(shuffled.counters.cca_visits, sorted.counters.cca_visits);
+        EXPECT_EQ(shuffled.counters.cca_flips, sorted.counters.cca_flips);
+        EXPECT_EQ(shuffled.decoded, sorted.decoded) << "sigma " << sigma_db;
+        EXPECT_EQ(shuffled.degree, sorted.degree);
+
+        // The hand-built network is the one run_multi_pair builds.
+        const auto reference = mac::run_multi_pair(topology, config);
+        EXPECT_EQ(reference.counters.transmissions,
+                  sorted.counters.transmissions);
+        for (std::size_t i = 0; i < sorted.decoded.size(); ++i) {
+            EXPECT_EQ(reference.per_pair_pps[i],
+                      static_cast<double>(sorted.decoded[i]) /
+                          (config.duration_us / 1e6));
+        }
+    }
+}
+
+TEST(MediumTopology, SettingALinkAgainOverwritesItsGain) {
+    sim::simulator sim;
+    const radio_config radio;
+    const capacity::logistic_per_model errors;
+    medium air(sim, radio, errors, 1);
+    std::vector<recorder> nodes(5);
+    for (auto& r : nodes) air.add_node(r, radio.cs_threshold_dbm);
+    // Out of key order, then each link again with its ends swapped.
+    air.set_link_gain_db(3, 4, -70.0);
+    air.set_link_gain_db(0, 2, -80.0);
+    air.set_link_gain_db(1, 3, -90.0);
+    air.set_link_gain_db(2, 0, -65.0);
+    air.set_link_gain_db(4, 3, -75.0);
+    EXPECT_EQ(air.link_gain_db(0, 2), -65.0);
+    EXPECT_EQ(air.link_gain_db(2, 0), -65.0);
+    EXPECT_EQ(air.link_gain_db(3, 4), -75.0);
+    EXPECT_EQ(air.link_gain_db(1, 3), -90.0);
+    EXPECT_EQ(air.rx_power_dbm(2, 0), radio.tx_power_dbm - 65.0);
+
+    // The freeze keeps the answers and builds one row entry per link.
+    std::vector<double> before;
+    for (node_id a = 0; a < 5; ++a) {
+        for (node_id b = 0; b < 5; ++b) {
+            if (a != b) before.push_back(air.link_gain_db(a, b));
+        }
+    }
+    air.start_transmission(0, data_frame(0, 6.0), true);
+    std::vector<double> after;
+    for (node_id a = 0; a < 5; ++a) {
+        for (node_id b = 0; b < 5; ++b) {
+            if (a != b) after.push_back(air.link_gain_db(a, b));
+        }
+    }
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(air.link_gain_db(0, 1), -500.0) << "an unset link";
+    EXPECT_EQ(air.neighbor_count(0), 1u);
+    EXPECT_EQ(air.neighbor_count(1), 1u);
+    EXPECT_EQ(air.neighbor_count(2), 1u);
+    EXPECT_EQ(air.neighbor_count(3), 2u);
+    EXPECT_EQ(air.neighbor_count(4), 1u);
+    EXPECT_THROW(air.set_link_gain_db(0, 1, -60.0), std::logic_error);
 }
 
 TEST(MediumCulling, DefaultConfigKeepsAllNeighbors) {
