@@ -51,17 +51,6 @@ int sweep_cap() {
     return cap > 0 ? cap : 0;
 }
 
-/// Replication override from CSENSE_CAMP05_REPS; 0 = tier default.
-/// Shard-equivalence tests raise it so a k-way partition gives every
-/// process some work even in fast mode (1 replication = 1 shard would
-/// leave k-1 processes idle).
-std::size_t reps_override() {
-    const char* env = std::getenv("CSENSE_CAMP05_REPS");
-    if (env == nullptr) return 0;
-    const int reps = std::atoi(env);
-    return reps > 0 ? static_cast<std::size_t>(reps) : 0;
-}
-
 struct replication_outcome {
     double tuned_pps = 0.0;
     double tuned_jain = 0.0;
@@ -128,18 +117,13 @@ CSENSE_SCENARIO_EX(camp05_dense_network,
                    "CSENSE_FAST caps the sweep at N=1000, replications at 1 "
                    "and run length at 0.2 s (metrics only, no gate); "
                    "CSENSE_CAMP05_NMAX=<n> caps the sweep (CI uses 500); "
-                   "CSENSE_CAMP05_REPS=<n> overrides the replication count "
-                   "(shard-equivalence tests); --threads shards whole "
-                   "packet-level replications") {
+                   "--threads shards whole packet-level replications") {
     bench::print_header(
         "Campaign C5 - dense networks, N = 100/500/1000/2000 pairs",
         "fixed 600 m arena, cumulative interference; neighbor-culled "
         "medium (floor = noise - 20 dB); tuned static vs adaptive "
         "iterative_fixed_point from a deaf misconfig");
-    std::size_t replications = bench::fast_mode() ? 1 : 2;
-    if (const std::size_t reps = reps_override(); reps > 0) {
-        replications = reps;
-    }
+    const std::size_t replications = bench::fast_mode() ? 1 : 2;
     const double duration_us = bench::fast_mode() ? 2e5 : 6e5;
 
     mac::multi_pair_config base;
@@ -182,15 +166,6 @@ CSENSE_SCENARIO_EX(camp05_dense_network,
         campaign.shard_size = 1;
         campaign.threads = ctx.threads;
         campaign.seed = ctx.seed ^ (0xca4905ULL + 1000ULL * pairs);
-        // --shard i/k: compute only this process's slice and tell the
-        // driver what full coverage looks like (for the shard manifest).
-        campaign.process_shards = ctx.shard_count;
-        campaign.process_shard = ctx.shard_index;
-        if (ctx.campaign_units != nullptr) {
-            campaign.unit_sink = [&ctx](const sim::campaign_unit& unit) {
-                ctx.campaign_units->push_back(unit);
-            };
-        }
         // Each replication is a whole packet-level run (seconds to
         // minutes at N = 2000), so completed replications checkpoint
         // individually under --checkpoint: a killed sweep resumes at the
@@ -337,11 +312,7 @@ CSENSE_SCENARIO_EX(camp05_dense_network,
         "arena, the regime where cumulative interference makes pairwise "
         "carrier-sense models optimistic.\n");
     // The gate needs the full replication budget and run length; fast
-    // and capped sweeps record metrics only. A process shard sees only
-    // its own slice of each campaign, so its aggregates are partial by
-    // construction — never gate on them.
-    if (bench::fast_mode() || sweep_cap() > 0 || ctx.shard_count > 1) {
-        return 0;
-    }
+    // and capped sweeps record metrics only.
+    if (bench::fast_mode() || sweep_cap() > 0) return 0;
     return (min_recovery >= 0.60) ? 0 : 1;
 }

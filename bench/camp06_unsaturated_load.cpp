@@ -49,16 +49,6 @@ int sweep_cap() {
     return cap > 0 ? cap : 0;
 }
 
-/// Replication override from CSENSE_CAMP06_REPS; 0 = tier default.
-/// Shard-equivalence tests raise it so a k-way partition gives every
-/// process some work even in fast mode.
-std::size_t reps_override() {
-    const char* env = std::getenv("CSENSE_CAMP06_REPS");
-    if (env == nullptr) return 0;
-    const int reps = std::atoi(env);
-    return reps > 0 ? static_cast<std::size_t>(reps) : 0;
-}
-
 /// One load x threshold cell of a replication.
 struct cell_outcome {
     double delay_p50_us = 0.0;
@@ -86,19 +76,14 @@ CSENSE_SCENARIO_EX(camp06_unsaturated_load,
                    bench::runtime_tier::slow,
                    "CSENSE_FAST caps the sweep at N=50, replications at 1 and "
                    "run length at 0.2 s; CSENSE_CAMP06_NMAX=<n> caps the "
-                   "sweep (CI smokes use 50); CSENSE_CAMP06_REPS=<n> "
-                   "overrides the replication count (shard-equivalence "
-                   "tests); --threads shards whole packet-level "
-                   "replications") {
+                   "sweep (CI smokes use 50); --threads shards whole "
+                   "packet-level replications") {
     bench::print_header(
         "Campaign C6 - unsaturated load, N = 10/50/200 pairs",
         "Poisson unicast through finite FIFOs, ARF rate adaptation; "
         "per-sender offered load x energy-detect threshold under common "
         "random numbers; latency percentiles as first-class outputs");
-    std::size_t replications = bench::fast_mode() ? 1 : 2;
-    if (const std::size_t reps = reps_override(); reps > 0) {
-        replications = reps;
-    }
+    const std::size_t replications = bench::fast_mode() ? 1 : 2;
     const double duration_us = bench::fast_mode() ? 2e5 : 6e5;
 
     mac::multi_pair_config base;
@@ -148,15 +133,6 @@ CSENSE_SCENARIO_EX(camp06_unsaturated_load,
         campaign.shard_size = 1;
         campaign.threads = ctx.threads;
         campaign.seed = ctx.seed ^ (0xca4906ULL + 1000ULL * pairs);
-        // --shard i/k: compute only this process's slice and tell the
-        // driver what full coverage looks like (for the shard manifest).
-        campaign.process_shards = ctx.shard_count;
-        campaign.process_shard = ctx.shard_index;
-        if (ctx.campaign_units != nullptr) {
-            campaign.unit_sink = [&ctx](const sim::campaign_unit& unit) {
-                ctx.campaign_units->push_back(unit);
-            };
-        }
         const auto outcomes =
             sim::run_replications_checkpointed<replication_outcome>(
                 campaign, ctx.checkpoint,
@@ -263,9 +239,6 @@ CSENSE_SCENARIO_EX(camp06_unsaturated_load,
         "knee metric is the lowest offered load whose p99 sojourn "
         "crosses 10 ms at that threshold.\n");
     // Structural gate (all tiers, including fast): latency percentiles
-    // must be present and ordered, drop rates must be probabilities. A
-    // process shard averages over a partial replication vector (holes
-    // are zero-filled), so the invariants only hold unsharded.
-    if (ctx.shard_count > 1) return 0;
+    // must be present and ordered, drop rates must be probabilities.
     return structurally_sound ? 0 : 1;
 }

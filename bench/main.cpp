@@ -35,36 +35,21 @@
 //                                        timings)
 //   csense_bench --checkpoint <dir>      crash-safe campaigns: completed
 //                                        scenario results (and campaign
-//                                        replication shards) persist in a
+//                                        replications) persist in a
 //                                        keyed result store under <dir>
 //                                        as they finish; a rerun after a
 //                                        crash/kill loads completed units
-//                                        and the merged JSON is
-//                                        byte-identical to an
-//                                        uninterrupted run (with
-//                                        --no-timings)
+//                                        and its JSON is byte-identical
+//                                        to an uninterrupted run (with
+//                                        --no-timings). Conflicts with
+//                                        --repeat > 1: repetitions 2..N
+//                                        would reload the stored
+//                                        replications and time the
+//                                        reload, not the computation
 //   csense_bench --watchdog-ms <n>       per-scenario wall-clock budget
 //                                        override (default: the tier
 //                                        budgets in bench/registry.cpp;
 //                                        0 disables the watchdog)
-//   csense_bench --shard <i>/<k>         multi-process partition: this
-//                                        process computes only the
-//                                        campaign replications shard i
-//                                        of k owns (fixed shard
-//                                        boundaries, so k processes
-//                                        cover every campaign disjointly)
-//                                        into its own --checkpoint store,
-//                                        and records a coverage manifest
-//                                        on success. csense_merge splices
-//                                        k such stores into one that
-//                                        replays byte-identically to an
-//                                        unsharded run. Requires
-//                                        --checkpoint; conflicts with
-//                                        --repeat. Scenario JSON records
-//                                        and acceptance gates are
-//                                        suppressed (a shard sees only
-//                                        its slice); the merged store is
-//                                        the run's result.
 //
 // Exit-code taxonomy (docs/robustness.md):
 //   0  ok       every selected scenario completed and passed its gate
@@ -96,10 +81,8 @@
 #include "bench/registry.hpp"
 #include "src/core/parallel.hpp"
 #include "src/report/json.hpp"
-#include "src/sim/campaign.hpp"
 #include "src/store/result_store.hpp"
 #include "src/store/run_keys.hpp"
-#include "src/store/shard_merge.hpp"
 
 namespace {
 
@@ -118,9 +101,6 @@ struct options {
     int threads = 0;
     int repeat = 1;
     std::int64_t watchdog_ms = -1;  ///< -1 = tier default, 0 = disabled
-    bool shard = false;             ///< --shard given (shard mode)
-    int shard_index = 0;
-    int shard_count = 1;
     std::string filter = "*";
     std::string json_path;
     std::string checkpoint_dir;
@@ -131,8 +111,7 @@ void print_usage(std::FILE* out) {
                  "usage: csense_bench [--list] [--list-markdown] "
                  "[--filter <glob>] [--seed <n>] [--threads <n>] "
                  "[--repeat <n>] [--json <path>] [--no-timings] "
-                 "[--checkpoint <dir>] [--watchdog-ms <n>] "
-                 "[--shard <i>/<k>]\n");
+                 "[--checkpoint <dir>] [--watchdog-ms <n>]\n");
 }
 
 bool parse_args(int argc, char** argv, options& opts) {
@@ -208,30 +187,6 @@ bool parse_args(int argc, char** argv, options& opts) {
                 return false;
             }
             opts.watchdog_ms = n;
-        } else if (arg == "--shard") {
-            const char* v = value("--shard");
-            if (v == nullptr) return false;
-            errno = 0;
-            char* end = nullptr;
-            const long index = std::strtol(v, &end, 10);
-            bool ok = end != v && *end == '/' && errno != ERANGE;
-            long count = 0;
-            if (ok) {
-                const char* count_text = end + 1;
-                errno = 0;
-                count = std::strtol(count_text, &end, 10);
-                ok = end != count_text && *end == '\0' && errno != ERANGE;
-            }
-            if (!ok || count < 1 || count > 1024 || index < 0 ||
-                index >= count) {
-                std::fprintf(stderr,
-                             "csense_bench: bad --shard '%s' (need "
-                             "<i>/<k> with 0 <= i < k <= 1024)\n", v);
-                return false;
-            }
-            opts.shard = true;
-            opts.shard_index = static_cast<int>(index);
-            opts.shard_count = static_cast<int>(count);
         } else if (arg == "--checkpoint") {
             const char* v = value("--checkpoint");
             if (v == nullptr) return false;
@@ -252,22 +207,13 @@ bool parse_args(int argc, char** argv, options& opts) {
             return false;
         }
     }
-    // Cross-option constraints of shard mode: without a store the
-    // computed slice would be discarded, and --repeat's timing wrappers
-    // are per-process (k processes would each claim repeat-indexed
-    // records for the same configuration), so both are usage errors.
-    if (opts.shard && opts.checkpoint_dir.empty() && !opts.list &&
-        !opts.list_markdown) {
+    // Repetitions 2..N would load the replication records repetition 1
+    // stored, so their wall times would measure the reload.
+    if (opts.repeat != 1 && !opts.checkpoint_dir.empty()) {
         std::fprintf(stderr,
-                     "csense_bench: --shard requires --checkpoint (each "
-                     "shard persists its slice into its own store)\n");
-        return false;
-    }
-    if (opts.shard && opts.repeat != 1) {
-        std::fprintf(stderr,
-                     "csense_bench: --shard cannot be combined with "
-                     "--repeat (timing repetitions are per-process and "
-                     "would double-count shard records)\n");
+                     "csense_bench: --repeat > 1 cannot be combined with "
+                     "--checkpoint (later repetitions would time the "
+                     "checkpoint reload, not the computation)\n");
         return false;
     }
     return true;
@@ -472,8 +418,7 @@ int main(int argc, char** argv) {
     // The CSENSE_* env fingerprint that keys every checkpoint record
     // (CSENSE_THREADS excluded: output is thread-count invariant), so a
     // run under different knobs can never load another configuration's
-    // records. Shared with csense_merge, which must agree on it
-    // byte-for-byte.
+    // records.
     const std::string env_fp = csense::store::current_env_fingerprint();
     const bool fast = csense::bench::fast_mode();
 
@@ -486,14 +431,6 @@ int main(int argc, char** argv) {
     doc["fast_mode"] = fast;
     doc["filter"] = std::string_view(opts.filter);
     doc["repeat"] = opts.repeat;
-    if (opts.shard) {
-        // Marks this document as one shard's partial view: it must
-        // never be compared against (or mistaken for) a merged run.
-        const std::string shard_label = std::to_string(opts.shard_index) +
-                                        "/" +
-                                        std::to_string(opts.shard_count);
-        doc["shard"] = std::string_view(shard_label);
-    }
     report::json_value results = report::json_value::array();
 
     enum class outcome { ok, gate_failed, degraded, cached };
@@ -506,23 +443,19 @@ int main(int argc, char** argv) {
 
     int gate_failures = 0;
     int degraded_count = 0;
-    std::vector<csense::sim::campaign_unit> campaign_units;
     const auto run_start = clock::now();
     for (std::size_t i = 0; i < selected.size(); ++i) {
         const scenario& s = *selected[i];
 
         // The run-configuration fingerprint every checkpoint record of
-        // this scenario keys on. Replication shards exclude the
-        // repeat/timings wrapper knobs (they never reach shard payloads).
+        // this scenario keys on. Replication records exclude the
+        // repeat/timings wrapper knobs (they never reach their payloads).
         const std::string unit_fp = csense::store::scenario_unit_fingerprint(
             s.name, opts.seed, env_fp);
         const std::string scenario_key = csense::store::scenario_record_key(
             unit_fp, opts.repeat, opts.timings);
 
-        // Shard mode neither loads nor stores whole-scenario records:
-        // this process's metrics aggregate a partial replication vector,
-        // so only the per-replication records it owns are real.
-        if (checkpoint != nullptr && !opts.shard) {
+        if (checkpoint != nullptr) {
             if (const auto payload = checkpoint->load(scenario_key)) {
                 std::string error;
                 if (auto entry = report::json_value::parse(*payload, &error)) {
@@ -584,9 +517,6 @@ int main(int argc, char** argv) {
             ctx.cancel = &cancel;
             ctx.checkpoint = checkpoint.get();
             ctx.checkpoint_prefix = csense::store::replication_prefix(unit_fp);
-            ctx.shard_count = opts.shard_count;
-            ctx.shard_index = opts.shard_index;
-            ctx.campaign_units = opts.shard ? &campaign_units : nullptr;
             csense::core::set_cancellation_token(&cancel);
             std::unique_ptr<watchdog> dog;
             if (budget_ms > 0) {
@@ -673,42 +603,13 @@ int main(int argc, char** argv) {
         }
         // Completed units (including gate failures: they are complete,
         // deterministic results) checkpoint; degraded units must
-        // recompute on resume, so they are never stored. Shard-mode
-        // scenario records would be partial — never stored either.
-        if (checkpoint != nullptr && !degraded && !opts.shard) {
+        // recompute on resume, so they are never stored.
+        if (checkpoint != nullptr && !degraded) {
             checkpoint->put(scenario_key, entry.dump(0));
         }
         results.push_back(std::move(entry));
     }
 
-    // A shard run that completed every scenario un-degraded publishes
-    // its coverage manifest: the merge tool refuses stores without one
-    // (an absent manifest is exactly what a killed shard leaves behind).
-    if (opts.shard && checkpoint != nullptr && degraded_count == 0) {
-        csense::store::shard_manifest manifest;
-        manifest.shard_index = opts.shard_index;
-        manifest.shard_count = opts.shard_count;
-        manifest.seed = opts.seed;
-        manifest.filter = opts.filter;
-        manifest.repeat = opts.repeat;
-        manifest.timings = opts.timings;
-        manifest.env_fp = env_fp;
-        for (const auto* s : selected) {
-            manifest.scenarios.push_back(s->name);
-        }
-        for (const auto& unit : campaign_units) {
-            manifest.units.push_back(
-                {unit.prefix, static_cast<std::int64_t>(unit.replications),
-                 static_cast<std::int64_t>(unit.shard_size)});
-        }
-        if (!checkpoint->put(csense::store::kManifestKey,
-                             csense::store::encode_manifest(manifest))) {
-            std::fprintf(stderr,
-                         "csense_bench: cannot write the shard manifest "
-                         "to '%s'\n", opts.checkpoint_dir.c_str());
-            return kExitFatal;
-        }
-    }
     const double total_ms =
         std::chrono::duration<double, std::milli>(clock::now() - run_start)
             .count();
@@ -751,10 +652,6 @@ int main(int argc, char** argv) {
         out << doc.dump(2);
         std::printf("wrote %s\n", opts.json_path.c_str());
     }
-    // Shard mode: gates evaluated over a partial replication vector are
-    // not meaningful, so only degradation (a shard whose records cannot
-    // be trusted complete) reaches the exit code.
-    if (degraded_count > 0) return kExitPartial;
-    if (gate_failures > 0 && !opts.shard) return kExitPartial;
+    if (degraded_count > 0 || gate_failures > 0) return kExitPartial;
     return kExitOk;
 }

@@ -20,10 +20,6 @@ namespace csense::store {
 class result_store;
 }  // namespace csense::store
 
-namespace csense::sim {
-struct campaign_unit;
-}  // namespace csense::sim
-
 namespace csense::bench {
 
 /// Coarse full-accuracy (no CSENSE_FAST) single-thread runtime class,
@@ -83,20 +79,6 @@ struct scenario_context {
     /// Run-config fingerprint ("<scenario>?seed=..&env=..") that keys
     /// this scenario's checkpoint records; sub-unit keys must extend it.
     std::string checkpoint_prefix;
-
-    /// Multi-process partition (--shard i/k): campaign-backed scenarios
-    /// must copy these into campaign_options::process_shard(s) so each
-    /// of k processes computes only its own slice of every campaign.
-    /// 1/0 = unsharded. Scenario-level metrics and gates computed from
-    /// a partial replication vector are meaningless under a partition;
-    /// the driver discards them in shard mode.
-    int shard_count = 1;
-    int shard_index = 0;
-
-    /// When non-null (shard mode), campaign-backed scenarios must also
-    /// route campaign_options::unit_sink here so the driver can record
-    /// every campaign's coverage promise in the shard manifest.
-    std::vector<sim::campaign_unit>* campaign_units = nullptr;
 
     /// Records one named metric (number, string or bool).
     void metric(std::string_view name, report::json_value value) {

@@ -13,31 +13,6 @@ void campaign_options::validate() const {
     if (threads < 0) {
         throw std::invalid_argument("campaign_options: negative threads");
     }
-    if (process_shards < 1) {
-        throw std::invalid_argument("campaign_options: process_shards < 1");
-    }
-    if (process_shard < 0 || process_shard >= process_shards) {
-        throw std::invalid_argument(
-            "campaign_options: process_shard outside [0, process_shards)");
-    }
-}
-
-namespace detail {
-void require_unsharded(const campaign_options& options, const char* what) {
-    options.validate();
-    if (options.process_shards > 1) {
-        throw std::logic_error(
-            std::string(what) +
-            ": process_shards > 1 requires a checkpoint store "
-            "(use run_replications_checkpointed)");
-    }
-}
-}  // namespace detail
-
-std::size_t campaign_shard_count(const campaign_options& options) {
-    options.validate();
-    return (options.replications + options.shard_size - 1) /
-           options.shard_size;
 }
 
 void for_each_shard(

@@ -8,14 +8,11 @@
 //    order;
 //  - work is split into shards whose boundaries depend only on
 //    (replications, shard_size), never on the thread count;
-//  - per-replication results are placed by index, and shard partials are
-//    merged in shard-index order on the calling thread.
+//  - per-replication results are placed by index; callers fold them in
+//    index order on the calling thread.
 //
 // Consequently `run_replications` is bit-identical to a serial loop for
-// every `threads` value, and `accumulate_replications` is bit-identical
-// across thread counts (its shard-partial grouping differs from a plain
-// serial fold only in floating-point association, which is fixed by the
-// shard structure, not by the worker count).
+// every `threads` value.
 //
 // Replication callables run concurrently on pool workers: they must not
 // touch shared mutable state beyond their own index's slot. Building a
@@ -36,18 +33,6 @@
 
 namespace csense::sim {
 
-/// Identity of one checkpointed campaign: the store prefix its
-/// replication records live under and the coverage promise
-/// ("<prefix>/rep<0..replications-1>" exist, sharded on fixed
-/// `shard_size` boundaries). Reported through
-/// campaign_options::unit_sink so a multi-process driver can write a
-/// shard manifest and a merge tool can verify coverage.
-struct campaign_unit {
-    std::string prefix;
-    std::size_t replications = 0;
-    std::size_t shard_size = 1;
-};
-
 /// Execution knobs for one campaign.
 struct campaign_options {
     /// Independent replications to run.
@@ -67,35 +52,9 @@ struct campaign_options {
     /// Base seed. Replication i draws from stats::rng(seed).split(i).
     std::uint64_t seed = 42;
 
-    /// Multi-process partition: this process computes only the campaign
-    /// shards it owns — shard j (= begin / shard_size) belongs to
-    /// process i when j % process_shards == i. The partition reuses the
-    /// fixed shard boundaries, so k processes cover [0, replications)
-    /// disjointly and their checkpoint stores merge in index order.
-    /// Only run_replications_checkpointed honors these: a process shard
-    /// without a store would discard its slice, so the plain drivers
-    /// throw when process_shards > 1.
-    int process_shards = 1;
-    int process_shard = 0;
-
-    /// When set, run_replications_checkpointed reports the campaign's
-    /// identity (prefix, replications, shard_size) here before running,
-    /// so the driver can record a coverage manifest.
-    std::function<void(const campaign_unit&)> unit_sink;
-
     /// Throws std::invalid_argument on nonsensical options.
     void validate() const;
 };
-
-namespace detail {
-/// Throws std::logic_error when `options` asks for a multi-process
-/// partition: `what` (the calling driver) has no checkpoint store, so
-/// the non-owned slice would be silently dropped.
-void require_unsharded(const campaign_options& options, const char* what);
-}  // namespace detail
-
-/// Number of shards the options partition the replications into.
-std::size_t campaign_shard_count(const campaign_options& options);
 
 /// Run `shard_body(begin, end)` over every shard of [0, replications),
 /// sharded across the thread pool. The non-template driver behind the
@@ -115,7 +74,6 @@ std::vector<T> run_replications(const campaign_options& options,
     // a struct (or use char) instead.
     static_assert(!std::is_same_v<T, bool>,
                   "run_replications<bool> would race on vector<bool> bits");
-    detail::require_unsharded(options, "run_replications");
     std::vector<T> results(options.replications);
     const stats::rng base(options.seed);
     for_each_shard(options, [&](std::size_t begin, std::size_t end) {
@@ -140,12 +98,6 @@ std::vector<T> run_replications(const campaign_options& options,
 /// store sees concurrent traffic on distinct keys only. `encode` maps
 /// const T& -> std::string; `decode` maps (std::string_view, T&) ->
 /// bool.
-///
-/// Under a multi-process partition (options.process_shards > 1) only
-/// the shards this process owns are loaded/computed/stored; the
-/// returned vector holds default-constructed values at every non-owned
-/// index and MUST NOT feed metrics or gates — the merged store, not
-/// this process's vector, is the campaign's result.
 template <typename T, typename Replicate, typename Encode, typename Decode>
 std::vector<T> run_replications_checkpointed(const campaign_options& options,
                                              store::result_store* checkpoint,
@@ -159,23 +111,9 @@ std::vector<T> run_replications_checkpointed(const campaign_options& options,
         return run_replications<T>(options,
                                    std::forward<Replicate>(replicate));
     }
-    options.validate();
-    if (options.unit_sink) {
-        options.unit_sink(campaign_unit{std::string(key_prefix),
-                                        options.replications,
-                                        options.shard_size});
-    }
     std::vector<T> results(options.replications);
     const stats::rng base(options.seed);
     for_each_shard(options, [&](std::size_t begin, std::size_t end) {
-        // Multi-process partition: skip shards another process owns.
-        if (options.process_shards > 1 &&
-            static_cast<int>((begin / options.shard_size) %
-                             static_cast<std::size_t>(
-                                 options.process_shards)) !=
-                options.process_shard) {
-            return;
-        }
         for (std::size_t i = begin; i < end; ++i) {
             const std::string key =
                 std::string(key_prefix) + "/rep" + std::to_string(i);
@@ -189,34 +127,6 @@ std::vector<T> run_replications_checkpointed(const campaign_options& options,
         }
     });
     return results;
-}
-
-/// Fold every replication into an accumulator without materializing
-/// per-replication results: each shard folds its own copy of `identity`
-/// in index order, then shard partials merge into a final copy in
-/// shard-index order on the calling thread. Thread-count invariant.
-/// `identity` MUST be the fold's identity element (0.0, an empty
-/// vector, ...): every shard starts from its own copy, so a non-identity
-/// starting value would be counted once per shard.
-/// `accumulate(acc, index, gen)` mutates the shard accumulator;
-/// `merge(total, partial)` folds one shard partial into the total.
-template <typename Acc, typename Accumulate, typename Merge>
-Acc accumulate_replications(const campaign_options& options, Acc identity,
-                            Accumulate&& accumulate, Merge&& merge) {
-    detail::require_unsharded(options, "accumulate_replications");
-    const std::size_t shards = campaign_shard_count(options);
-    std::vector<Acc> partials(shards, identity);
-    const stats::rng base(options.seed);
-    for_each_shard(options, [&](std::size_t begin, std::size_t end) {
-        Acc& acc = partials[begin / options.shard_size];
-        for (std::size_t i = begin; i < end; ++i) {
-            stats::rng gen = base.split(static_cast<std::uint64_t>(i));
-            accumulate(acc, i, gen);
-        }
-    });
-    Acc total = std::move(identity);
-    for (auto& partial : partials) merge(total, std::move(partial));
-    return total;
 }
 
 }  // namespace csense::sim

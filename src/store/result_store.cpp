@@ -73,25 +73,33 @@ std::uint64_t fnv1a64(std::string_view data) noexcept {
     return h;
 }
 
-std::optional<record_view> parse_record(std::string_view raw,
-                                        std::string* error) {
-    const auto fail = [&](const char* why) -> std::optional<record_view> {
-        if (error != nullptr) *error = why;
-        return std::nullopt;
-    };
+namespace {
+
+/// Structural view into one raw record image (the bytes of a `.rec`
+/// file). Views point into the caller's buffer.
+struct record_view {
+    std::string_view schema;   ///< schema line, e.g. "csense-bench/2"
+    std::string_view key;      ///< the key the record claims to hold
+    std::string_view payload;  ///< checksum-verified payload bytes
+};
+
+/// Validates one raw record image: magic, header lines, payload byte
+/// count and FNV-1a checksum. Returns nullopt on any structural
+/// failure; schema/key policy is result_store::load's.
+std::optional<record_view> parse_record(std::string_view raw) {
     std::string_view rest = raw;
     const auto magic = take_line(&rest, "");
-    if (!magic || *magic != kMagic) return fail("bad magic line");
+    if (!magic || *magic != kMagic) return std::nullopt;
     const auto schema = take_line(&rest, "schema");
-    if (!schema) return fail("missing schema line");
+    if (!schema) return std::nullopt;
     const auto stored_key = take_line(&rest, "key");
-    if (!stored_key) return fail("missing key line");
+    if (!stored_key) return std::nullopt;
     const auto size_field = take_line(&rest, "payload_bytes");
-    if (!size_field) return fail("missing payload_bytes line");
+    if (!size_field) return std::nullopt;
     const auto checksum_field = take_line(&rest, "payload_fnv1a64");
-    if (!checksum_field) return fail("missing payload_fnv1a64 line");
+    if (!checksum_field) return std::nullopt;
     const auto separator = take_line(&rest, "");
-    if (!separator || *separator != "---") return fail("missing separator");
+    if (!separator || *separator != "---") return std::nullopt;
 
     std::size_t payload_bytes = 0;
     const auto res = std::from_chars(
@@ -99,18 +107,18 @@ std::optional<record_view> parse_record(std::string_view raw,
         payload_bytes);
     if (res.ec != std::errc() ||
         res.ptr != size_field->data() + size_field->size()) {
-        return fail("unparseable payload_bytes");
+        return std::nullopt;
     }
     // Truncation and trailing garbage both fail the exact-length check.
-    if (rest.size() != payload_bytes) {
-        return fail("payload length mismatch (truncated or padded)");
-    }
+    if (rest.size() != payload_bytes) return std::nullopt;
     if (checksum_field->size() != 16 ||
         *checksum_field != hex64(fnv1a64(rest))) {
-        return fail("payload checksum mismatch");
+        return std::nullopt;
     }
     return record_view{*schema, *stored_key, rest};
 }
+
+}  // namespace
 
 result_store::result_store(std::filesystem::path root,
                            std::string schema_version, fs_hooks hooks)

@@ -1,10 +1,10 @@
 // Keyed, versioned, crash-safe on-disk result store.
 //
-// Generalizes the old ad-hoc testbed ensemble cache into the layer the
-// ROADMAP's sharding/server mode sits on: expensive deterministic units
-// of work (scenario results, campaign replication shards, testbed
-// ensembles) persist under a string key as they complete, and a
-// restarted run loads completed units instead of recomputing them.
+// Backs `csense_bench --checkpoint` and the testbed ensemble cache:
+// expensive deterministic units of work (scenario results, campaign
+// replications, testbed ensembles) persist under a string key as they
+// complete, and a restarted run loads completed units instead of
+// recomputing them.
 //
 // Guarantees:
 //  - Atomic visibility: a record is written to `<file>.tmp` and renamed
@@ -44,22 +44,6 @@ namespace csense::store {
 
 /// FNV-1a 64-bit content hash (record checksums, key -> filename).
 std::uint64_t fnv1a64(std::string_view data) noexcept;
-
-/// Structural view into one raw record image (the bytes of a `.rec`
-/// file). Views point into the caller's buffer.
-struct record_view {
-    std::string_view schema;   ///< schema line, e.g. "csense-bench/1"
-    std::string_view key;      ///< the key the record claims to hold
-    std::string_view payload;  ///< checksum-verified payload bytes
-};
-
-/// Validates one raw record image: magic, header lines, payload byte
-/// count and FNV-1a checksum. Returns nullopt (and a reason in `error`
-/// when non-null) on any structural failure. Schema/key policy is the
-/// caller's: result_store::load treats a schema mismatch as a stale
-/// miss, the shard-merge validator treats it as a reportable fault.
-std::optional<record_view> parse_record(std::string_view raw,
-                                        std::string* error = nullptr);
 
 /// Test-only filesystem shim over the store's two mutation points.
 /// Default-constructed hooks perform the real operation; tests swap in

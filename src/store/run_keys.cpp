@@ -1,10 +1,13 @@
 #include "src/store/run_keys.hpp"
 
 #include <algorithm>
+#include <vector>
 
 extern char** environ;
 
 namespace csense::store {
+
+namespace {
 
 std::string env_fingerprint_from_entries(std::vector<std::string> entries) {
     std::erase_if(entries, [](const std::string& entry) {
@@ -20,6 +23,8 @@ std::string env_fingerprint_from_entries(std::vector<std::string> entries) {
     }
     return fp;
 }
+
+}  // namespace
 
 std::string current_env_fingerprint() {
     std::vector<std::string> entries;

@@ -1,21 +1,18 @@
-// The one place the checkpoint-store key scheme lives.
-//
-// These strings first grew inline in bench/main.cpp; now that two
-// binaries must agree on them byte-for-byte (csense_bench writing
-// shard stores, csense_merge validating and splicing them), the scheme
-// is a library contract:
+// The one place the checkpoint-store key scheme of
+// `csense_bench --checkpoint` lives. Records outlive the binary that
+// wrote them, so a resumed run must rebuild these strings
+// byte-for-byte:
 //
 //   env fingerprint   sorted "K=V;K=V" of every CSENSE_* variable
 //                     except CSENSE_THREADS (results are thread-count
 //                     invariant by contract)
 //   unit fingerprint  "<scenario>?seed=<n>&env=<fp>"
 //   scenario record   "scenario/<unit_fp>&repeat=<n>&timings=<0|1>"
-//   replication shard "shard/<unit_fp>/<campaign-suffix>/rep<i>"
+//   replication       "shard/<unit_fp>/<campaign-suffix>/rep<i>"
 //                     (the campaign suffix, e.g. "/n500", is chosen by
 //                     the scenario; replication_prefix() returns the
-//                     "shard/<unit_fp>" stem)
-//   shard manifest    "manifest/run" — one per shard store, written by
-//                     a completed `csense_bench --shard i/k` run
+//                     "shard/<unit_fp>" stem, named after the campaign
+//                     layer's shards and kept so existing stores load)
 //
 // Any change here is a store schema change: bump kBenchStoreSchema so
 // old records read as stale misses instead of aliasing.
@@ -24,7 +21,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace csense::store {
 
@@ -33,14 +29,8 @@ namespace csense::store {
 /// records written before must read as stale, not splice into new output.
 inline constexpr std::string_view kBenchStoreSchema = "csense-bench/2";
 
-/// Key of the per-shard run manifest record (see shard_merge.hpp).
-inline constexpr std::string_view kManifestKey = "manifest/run";
-
-/// Builds the environment fingerprint from raw "K=V" entries: keeps
-/// CSENSE_* (except CSENSE_THREADS), sorts, joins with ';'.
-std::string env_fingerprint_from_entries(std::vector<std::string> entries);
-
-/// Fingerprint of the calling process's own environment.
+/// Fingerprint of the calling process's own environment: its CSENSE_*
+/// entries (except CSENSE_THREADS), sorted, joined with ';'.
 std::string current_env_fingerprint();
 
 /// "<scenario>?seed=<n>&env=<fp>" — the run-configuration fingerprint

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -66,41 +67,27 @@ TEST(BenchRobustness, UsageErrorsExitTwo) {
     EXPECT_EQ(run_bench("--bogus-flag", dir + "rb_usage.txt"), 2);
     EXPECT_EQ(run_bench("--seed not-a-number", dir + "rb_seed.txt"), 2);
     EXPECT_EQ(run_bench("--watchdog-ms -5", dir + "rb_wd.txt"), 2);
-}
-
-TEST(BenchRobustness, ShardModeUsageErrorsExitTwo) {
-    const std::string dir = ::testing::TempDir();
-    const std::string log = dir + "rb_shard.txt";
-    // Malformed <i>/<k> forms.
-    EXPECT_EQ(run_bench("--shard 3/3 --checkpoint \"" + dir + "rb_sck\"",
-                        log),
+    // Campaigns run in one process: there is no --shard flag.
+    const std::string shard_log = dir + "rb_shard.txt";
+    EXPECT_EQ(run_bench("--shard 0/3 --filter x00_fault_drill", shard_log),
               2);
-    EXPECT_NE(read_file(log).find("bad --shard '3/3'"), std::string::npos)
-        << read_file(log);
-    EXPECT_EQ(run_bench("--shard a/b --checkpoint \"" + dir + "rb_sck\"",
-                        log),
-              2);
-    EXPECT_EQ(run_bench("--shard -1/3 --checkpoint \"" + dir + "rb_sck\"",
-                        log),
-              2);
-    EXPECT_EQ(run_bench("--shard 2 --checkpoint \"" + dir + "rb_sck\"",
-                        log),
-              2);
-    // A shard without a store would silently discard its slice.
-    EXPECT_EQ(run_bench("--shard 0/3 --filter x00_fault_drill", log), 2);
-    EXPECT_NE(read_file(log).find("--shard requires --checkpoint"),
+    EXPECT_NE(read_file(shard_log).find("unknown argument '--shard'"),
               std::string::npos)
-        << read_file(log);
-    // Timing repetitions are per-process: combined with sharding they
-    // would double-count shard records.
-    EXPECT_EQ(run_bench("--shard 0/3 --repeat 2 --checkpoint \"" + dir +
-                            "rb_sck\" --filter x00_fault_drill",
-                        log),
+        << read_file(shard_log);
+    // Repetitions 2..N would reload the records repetition 1 stored and
+    // time the reload, so --repeat > 1 with a store is refused.
+    const std::string repeat_log = dir + "rb_repeat.txt";
+    std::filesystem::remove_all(dir + "rb_rck");
+    EXPECT_EQ(run_bench("--repeat 2 --checkpoint \"" + dir +
+                            "rb_rck\" --filter x00_fault_drill",
+                        repeat_log),
               2);
-    EXPECT_NE(
-        read_file(log).find("--shard cannot be combined with --repeat"),
-        std::string::npos)
-        << read_file(log);
+    EXPECT_NE(read_file(repeat_log)
+                  .find("--repeat > 1 cannot be combined with --checkpoint"),
+              std::string::npos)
+        << read_file(repeat_log);
+    EXPECT_FALSE(std::filesystem::exists(dir + "rb_rck"))
+        << "a usage error must not open the store";
 }
 
 TEST(BenchRobustness, NoMatchingScenarioIsFatalWithSuggestions) {

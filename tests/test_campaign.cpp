@@ -1,15 +1,10 @@
 // The deterministic campaign layer: sharded replications must place
-// results by index, reproduce the serial loop bit-for-bit at any thread
-// count, and keep shard-partial accumulation invariant to the worker
-// count (the --threads-is-only-a-wall-clock-knob contract).
+// results by index and reproduce the serial loop bit-for-bit at any
+// thread count (the --threads-is-only-a-wall-clock-knob contract).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <filesystem>
 #include <numeric>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/sim/campaign.hpp"
@@ -69,42 +64,6 @@ TEST(Campaign, MapIsInvariantToShardSize) {
     EXPECT_EQ(a, c);
 }
 
-TEST(Campaign, AccumulateIsThreadCountInvariant) {
-    // The shard-partial fold must be bitwise identical for every worker
-    // count (grouping fixed by shard boundaries alone).
-    const std::size_t n = 10'000;
-    auto run = [&](int threads) {
-        return accumulate_replications<double>(
-            options_with(n, 128, threads), 0.0,
-            [](double& acc, std::size_t, csense::stats::rng& gen) {
-                acc += std::log1p(gen.uniform());
-            },
-            [](double& total, double partial) { total += partial; });
-    };
-    const double t1 = run(1);
-    EXPECT_EQ(t1, run(2));
-    EXPECT_EQ(t1, run(4));
-    EXPECT_EQ(t1, run(13));
-}
-
-TEST(Campaign, AccumulateMergesShardsInIndexOrder) {
-    // Record which replication indices each shard saw: merged in shard
-    // order they must reconstruct 0..n-1 exactly.
-    const std::size_t n = 100;
-    using list = std::vector<std::size_t>;
-    const auto seen = accumulate_replications<list>(
-        options_with(n, 7, 4), list{},
-        [](list& acc, std::size_t i, csense::stats::rng&) {
-            acc.push_back(i);
-        },
-        [](list& total, list partial) {
-            total.insert(total.end(), partial.begin(), partial.end());
-        });
-    list expected(n);
-    std::iota(expected.begin(), expected.end(), 0u);
-    EXPECT_EQ(seen, expected);
-}
-
 TEST(Campaign, ReplicationStreamsAreDecorrelated) {
     // Adjacent replications must not share RNG state: the mean of many
     // split streams' first uniforms behaves like independent draws.
@@ -127,15 +86,16 @@ TEST(Campaign, EmptyCampaignIsANoOp) {
         options_with(0, 8, 4),
         [](std::size_t, csense::stats::rng&) { return 1; });
     EXPECT_TRUE(results.empty());
-    const double total = accumulate_replications<double>(
-        options_with(0, 8, 4), 0.0,
-        [](double& acc, std::size_t, csense::stats::rng&) { acc += 1.0; },
-        [](double& t, double p) { t += p; });
-    EXPECT_EQ(total, 0.0);
+    bool called = false;
+    for_each_shard(options_with(0, 8, 4),
+                   [&called](std::size_t, std::size_t) { called = true; });
+    EXPECT_FALSE(called);
 }
 
 TEST(Campaign, RejectsBadOptions) {
-    EXPECT_THROW(campaign_shard_count(options_with(10, 0, 1)),
+    EXPECT_THROW(run_replications<int>(
+                     options_with(10, 0, 1),
+                     [](std::size_t, csense::stats::rng&) { return 1; }),
                  std::invalid_argument);
     EXPECT_THROW(for_each_shard(options_with(10, 0, 1),
                                 [](std::size_t, std::size_t) {}),
@@ -143,13 +103,6 @@ TEST(Campaign, RejectsBadOptions) {
     EXPECT_THROW(for_each_shard(options_with(10, 4, -1),
                                 [](std::size_t, std::size_t) {}),
                  std::invalid_argument);
-}
-
-TEST(Campaign, ShardCountCoversAllReplications) {
-    EXPECT_EQ(campaign_shard_count(options_with(0, 8, 1)), 0u);
-    EXPECT_EQ(campaign_shard_count(options_with(8, 8, 1)), 1u);
-    EXPECT_EQ(campaign_shard_count(options_with(9, 8, 1)), 2u);
-    EXPECT_EQ(campaign_shard_count(options_with(64, 8, 1)), 8u);
 }
 
 TEST(Campaign, ExceptionsPropagateToCaller) {
@@ -162,126 +115,6 @@ TEST(Campaign, ExceptionsPropagateToCaller) {
                                   return 0;
                               }),
         std::runtime_error);
-}
-
-// append-based: GCC 12's -Wrestrict misfires on the
-// `const char* + std::string&&` operator+ overload.
-std::string shard_dir_name(int shard) {
-    std::string name = "s";
-    name += std::to_string(shard);
-    return name;
-}
-
-TEST(Campaign, ProcessShardsPartitionReplicationsDisjointly) {
-    // k process-sharded runs into k stores must together hold exactly
-    // one record per replication, with payloads identical to the
-    // unsharded checkpointed run's.
-    const std::size_t n = 37;  // not a multiple of shard_size * k
-    const int k = 3;
-    const auto replicate = [](std::size_t, csense::stats::rng& gen) {
-        return gen.normal();
-    };
-    const auto encode = [](const double& v) {
-        return csense::store::encode_doubles(&v, 1);
-    };
-    const auto decode = [](std::string_view payload, double& v) {
-        return csense::store::decode_doubles(payload, &v, 1);
-    };
-
-    namespace fs = std::filesystem;
-    const fs::path base =
-        fs::path(::testing::TempDir()) / "csense_campaign_pshard";
-    fs::remove_all(base);
-    csense::store::result_store reference(base / "ref", "test/1");
-    {
-        campaign_options opt = options_with(n, 4, 2);
-        run_replications_checkpointed<double>(opt, &reference, "shard/unit",
-                                              replicate, encode, decode);
-    }
-    std::size_t stored = 0;
-    for (int shard = 0; shard < k; ++shard) {
-        campaign_options opt = options_with(n, 4, 2);
-        opt.process_shards = k;
-        opt.process_shard = shard;
-        csense::store::result_store store(
-            base / shard_dir_name(shard), "test/1");
-        run_replications_checkpointed<double>(opt, &store, "shard/unit",
-                                              replicate, encode, decode);
-        stored += store.stats().writes;
-    }
-    EXPECT_EQ(stored, n) << "the k slices must cover [0, n) exactly once";
-    for (std::size_t i = 0; i < n; ++i) {
-        // Built with += : GCC 12's -Wrestrict misfires on the
-        // `const char* + std::string&&` overload here.
-        std::string key = "shard/unit/rep";
-        key += std::to_string(i);
-        const auto expected = reference.load(key);
-        ASSERT_TRUE(expected.has_value()) << key;
-        int holders = 0;
-        for (int shard = 0; shard < k; ++shard) {
-            csense::store::result_store store(
-                base / shard_dir_name(shard), "test/1");
-            if (const auto payload = store.load(key)) {
-                ++holders;
-                EXPECT_EQ(*payload, *expected) << key << " in shard "
-                                               << shard;
-            }
-        }
-        EXPECT_EQ(holders, 1) << key << " must live in exactly one store";
-    }
-}
-
-TEST(Campaign, UnitSinkReportsTheCampaignIdentity) {
-    namespace fs = std::filesystem;
-    const fs::path root =
-        fs::path(::testing::TempDir()) / "csense_campaign_sink";
-    fs::remove_all(root);
-    csense::store::result_store store(root, "test/1");
-    campaign_options opt = options_with(12, 4, 1);
-    std::vector<campaign_unit> units;
-    opt.unit_sink = [&units](const campaign_unit& unit) {
-        units.push_back(unit);
-    };
-    run_replications_checkpointed<double>(
-        opt, &store, "shard/unit",
-        [](std::size_t, csense::stats::rng& gen) { return gen.uniform(); },
-        [](const double& v) { return csense::store::encode_doubles(&v, 1); },
-        [](std::string_view p, double& v) {
-            return csense::store::decode_doubles(p, &v, 1);
-        });
-    ASSERT_EQ(units.size(), 1u);
-    EXPECT_EQ(units[0].prefix, "shard/unit");
-    EXPECT_EQ(units[0].replications, 12u);
-    EXPECT_EQ(units[0].shard_size, 4u);
-}
-
-TEST(Campaign, ProcessShardingRequiresACheckpointStore) {
-    // A plain driver has nowhere to persist the owned slice: the
-    // non-owned replications would be silently dropped.
-    campaign_options opt = options_with(10, 2, 1);
-    opt.process_shards = 2;
-    EXPECT_THROW(run_replications<int>(
-                     opt, [](std::size_t, csense::stats::rng&) { return 1; }),
-                 std::logic_error);
-    EXPECT_THROW(
-        accumulate_replications<double>(
-            opt, 0.0,
-            [](double& acc, std::size_t, csense::stats::rng&) {
-                acc += 1.0;
-            },
-            [](double& t, double p) { t += p; }),
-        std::logic_error);
-}
-
-TEST(Campaign, RejectsBadProcessShardOptions) {
-    campaign_options opt = options_with(10, 2, 1);
-    opt.process_shards = 0;
-    EXPECT_THROW(opt.validate(), std::invalid_argument);
-    opt.process_shards = 3;
-    opt.process_shard = 3;  // must be in [0, process_shards)
-    EXPECT_THROW(opt.validate(), std::invalid_argument);
-    opt.process_shard = -1;
-    EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 
 }  // namespace

@@ -84,6 +84,48 @@ TEST(CheckpointResume, ResumedRunIsByteIdenticalToUninterrupted) {
         << "the resumed run recomputed a completed scenario";
 }
 
+TEST(CheckpointResume, CampaignReplicationsReplayByteIdentical) {
+    // camp05/camp06 checkpoint every campaign replication on its own.
+    // Dropping the scenario records forces the rerun to rebuild both
+    // scenarios from the replication records alone, which must replay
+    // the storeless run byte-for-byte without simulating anything.
+    const fs::path base =
+        fs::path(::testing::TempDir()) / "csense_ckpt_replay";
+    fs::remove_all(base);
+    fs::create_directories(base / "plain");
+    fs::create_directories(base / "ckpt");
+    const std::string args = "--filter 'camp05*,camp06*' --no-timings ";
+    const std::string env = "CSENSE_CAMP05_NMAX=200 CSENSE_CAMP06_NMAX=10";
+    ASSERT_EQ(run_bench(base / "plain", args + "--json plain.json", env,
+                        base / "plain.log"),
+              0);
+    ASSERT_EQ(run_bench(base / "ckpt",
+                        args + "--checkpoint ck --json first.json", env,
+                        base / "first.log"),
+              0);
+    int dropped = 0;
+    for (const auto& entry : fs::directory_iterator(base / "ckpt" / "ck")) {
+        if (entry.path().filename().string().rfind("scenario_", 0) == 0) {
+            fs::remove(entry.path());
+            ++dropped;
+        }
+    }
+    ASSERT_EQ(dropped, 2) << "one scenario record per campaign expected";
+    ASSERT_EQ(run_bench(base / "ckpt",
+                        args + "--checkpoint ck --json replay.json", env,
+                        base / "replay.log"),
+              0);
+    const std::string plain = read_file(base / "plain" / "plain.json");
+    ASSERT_FALSE(plain.empty());
+    EXPECT_EQ(plain, read_file(base / "ckpt" / "replay.json"))
+        << "replaying campaign replications from the store must be "
+           "byte-identical to a storeless run";
+    const std::string replay_log = read_file(base / "replay.log");
+    EXPECT_NE(replay_log.find("checkpoint: 2 loaded, 2 stored"),
+              std::string::npos)
+        << replay_log;
+}
+
 TEST(CheckpointResume, KilledMidSweepResumesByteIdentical) {
 #if !CSENSE_HAVE_FORK
     GTEST_SKIP() << "needs fork/kill";
